@@ -484,6 +484,37 @@ void BM_MetricsOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricsOverhead)->Arg(0)->Arg(1);
 
+// Contended metrics probe: 1, 2 or 4 threads, each pushing per-tuple
+// through its own Thin -> Sink chain, obs on (Arg 1) or off (Arg 0).
+// The chains share nothing but the process-wide craqr.ops.<Kind>.*
+// dispatch metrics, so the on/off gap at 2 and 4 threads is the cost of
+// writers on different cores recording the same metrics (striped per
+// thread, see obs/metrics.h).
+void BM_DispatchMetricsContended(benchmark::State& state) {
+  obs::SetEnabled(state.range(0) != 0);
+  auto thin = ops::ThinOperator::Make("t", 1024.0, 512.0,
+                                      Rng(10 + state.thread_index()))
+                  .MoveValue();
+  auto sink = ops::SinkOperator::Make("sink", 1024).MoveValue();
+  thin->AddOutput(sink.get());
+  const auto tuples = MakeTuples(4096);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(thin->Push(tuples[i++ & 4095]));
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) {
+    obs::SetEnabled(true);
+  }
+}
+BENCHMARK(BM_DispatchMetricsContended)
+    ->Arg(0)
+    ->Arg(1)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->UseRealTime();
+
 std::vector<geom::Rect> SweepStrips() {
   std::vector<geom::Rect> strips;
   for (int k = 0; k < 4; ++k) {

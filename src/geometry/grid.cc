@@ -38,10 +38,27 @@ Result<Grid> Grid::Make(const Rect& region, std::uint32_t h) {
   return Grid(region, side);
 }
 
+namespace {
+
+/// Seam `i` of a side [lo, hi) cut into `side` cells of width `w`. Each
+/// seam is computed once from its own index, and the far seam is `hi`
+/// itself, so neighbouring cells share bit-identical edges: deriving a
+/// cell's far edge as `lo + i * w + w` instead misses `lo + (i + 1) * w`
+/// by an ulp on some seams, and the cells then overlap or leave a gap.
+double Seam(std::uint32_t i, std::uint32_t side, double lo, double hi,
+            double w) {
+  return i == side ? hi : lo + i * w;
+}
+
+}  // namespace
+
 Rect Grid::CellRect(const CellIndex& index) const {
-  const double x0 = region_.x_min() + index.q * cell_width_;
-  const double y0 = region_.y_min() + index.r * cell_height_;
-  return Rect(x0, y0, x0 + cell_width_, y0 + cell_height_);
+  const double x_lo = region_.x_min(), x_hi = region_.x_max();
+  const double y_lo = region_.y_min(), y_hi = region_.y_max();
+  return Rect(Seam(index.q, side_, x_lo, x_hi, cell_width_),
+              Seam(index.r, side_, y_lo, y_hi, cell_height_),
+              Seam(index.q + 1, side_, x_lo, x_hi, cell_width_),
+              Seam(index.r + 1, side_, y_lo, y_hi, cell_height_));
 }
 
 double Grid::CellArea() const { return cell_width_ * cell_height_; }

@@ -72,7 +72,10 @@ class Grid {
   /// Total number of cells h.
   std::uint32_t NumCells() const { return side_ * side_; }
 
-  /// Geometry of cell (q, r). Requires q, r < CellsPerSide().
+  /// Geometry of cell (q, r). Requires q, r < CellsPerSide(). Neighbouring
+  /// cells share bit-identical edges and the outer cells end exactly on
+  /// the region's edges, so the half-open cells tile the region with no
+  /// gap or overlap.
   Rect CellRect(const CellIndex& index) const;
 
   /// Area of one cell (all cells are equal size; paper Section IV-A).

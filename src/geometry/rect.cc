@@ -37,18 +37,6 @@ void Rect::ContainsMask(Span<const SpaceTimePoint> points,
   }
 }
 
-void Rect::ContainsMaskOr(Span<const SpaceTimePoint> points,
-                          std::uint8_t* out) const {
-  const double x0 = x_min_, x1 = x_max_, y0 = y_min_, y1 = y_max_;
-  const std::size_t n = points.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x = points[i].x;
-    const double y = points[i].y;
-    out[i] |= static_cast<std::uint8_t>((x >= x0) & (x < x1) & (y >= y0) &
-                                        (y < y1));
-  }
-}
-
 bool Rect::ContainsRect(const Rect& other) const {
   return other.x_min_ >= x_min_ && other.x_max_ <= x_max_ &&
          other.y_min_ >= y_min_ && other.y_max_ <= y_max_;

@@ -73,12 +73,6 @@ class Rect {
   void ContainsMask(Span<const SpaceTimePoint> points,
                     std::uint8_t* out) const;
 
-  /// \brief Accumulating variant: ORs the containment byte into `out[i]`
-  /// instead of storing it. Union's membership sweep folds its input
-  /// regions into one "inside any region" mask with repeated calls.
-  void ContainsMaskOr(Span<const SpaceTimePoint> points,
-                      std::uint8_t* out) const;
-
   /// True when `other` is fully inside this rectangle (closed comparison on
   /// the max edges so a rectangle contains itself).
   bool ContainsRect(const Rect& other) const;

@@ -9,7 +9,58 @@ namespace obs {
 
 namespace internal {
 std::atomic<bool> g_enabled{true};
+
+namespace {
+
+static_assert(kStripes < 32, "stripe leases are one 32-bit mask");
+constexpr std::uint32_t kAllStripes = (1u << kStripes) - 1;
+
+/// Bit i set = stripe slot i is leased to a live thread.
+std::atomic<std::uint32_t> g_stripe_leases{0};
+
+/// Hands the owning thread's slot back when the thread exits. A write
+/// from a later thread-exit destructor then goes to the shared stripe
+/// rather than leasing anew. The release orders this thread's stripe
+/// writes before the next lessee's (it acquires the slot through the same
+/// atomic), so the slot keeps a single writer at a time.
+struct StripeLease {
+  std::uint32_t slot = kNoStripe;
+  ~StripeLease() {
+    if (slot != kNoStripe) {
+      g_stripe_leases.fetch_and(~(1u << slot), std::memory_order_acq_rel);
+    }
+    t_stripe = kSharedStripe;
+  }
+};
+
+}  // namespace
+
+std::uint32_t AcquireStripe() {
+  static thread_local StripeLease lease;
+  std::uint32_t leased = g_stripe_leases.load(std::memory_order_relaxed);
+  for (;;) {
+    const std::uint32_t free = ~leased & kAllStripes;
+    if (free == 0) {
+      // More live writer threads than slots: write the shared stripe.
+      t_stripe = kSharedStripe;
+      return t_stripe;
+    }
+    const auto slot = static_cast<std::uint32_t>(__builtin_ctz(free));
+    if (g_stripe_leases.compare_exchange_weak(leased, leased | (1u << slot),
+                                              std::memory_order_acq_rel)) {
+      lease.slot = slot;
+      t_stripe = slot;
+      return slot;
+    }
+  }
+}
+
 }  // namespace internal
+
+std::size_t StripesInUse() {
+  return static_cast<std::size_t>(__builtin_popcount(
+      internal::g_stripe_leases.load(std::memory_order_acquire)));
+}
 
 double HistogramSnapshot::Mean() const {
   return count == 0 ? 0.0
@@ -55,14 +106,40 @@ RunningStats HistogramSnapshot::ToRunningStats() const {
   return stats;
 }
 
+LogHistogram::~LogHistogram() {
+  for (auto& stripe : stripes_) {
+    delete stripe.load(std::memory_order_relaxed);
+  }
+}
+
+LogHistogram::Stripe& LogHistogram::AddStripe(std::uint32_t index) {
+  auto* fresh = new Stripe();
+  Stripe* installed = nullptr;
+  if (!stripes_[index].compare_exchange_strong(installed, fresh,
+                                               std::memory_order_acq_rel)) {
+    delete fresh;
+    return *installed;
+  }
+  return *fresh;
+}
+
 HistogramSnapshot LogHistogram::Snapshot() const {
   HistogramSnapshot snap;
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-    snap.count += snap.buckets[i];
+  for (const auto& allocated : stripes_) {
+    const Stripe* stripe = allocated.load(std::memory_order_acquire);
+    if (stripe == nullptr) {
+      continue;
+    }
+    for (std::size_t i = 0; i < kNumBuckets; ++i) {
+      const std::uint64_t n =
+          stripe->buckets[i].load(std::memory_order_relaxed);
+      snap.buckets[i] += n;
+      snap.count += n;
+    }
+    snap.sum += stripe->sum.load(std::memory_order_relaxed);
+    snap.max =
+        std::max(snap.max, stripe->max.load(std::memory_order_relaxed));
   }
-  snap.sum = sum_.load(std::memory_order_relaxed);
-  snap.max = max_.load(std::memory_order_relaxed);
   return snap;
 }
 

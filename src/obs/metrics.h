@@ -19,12 +19,14 @@
 /// log-scale latency histograms and dense per-cell counter banks.
 ///
 /// Design goals, in order:
-///   1. **Hot-path cost.** A write is one relaxed atomic add (two for a
-///      histogram: bucket + sum), no lock, no allocation, no branch beyond
-///      the enable check. Metric objects are looked up once (at
-///      construction / first touch) and cached as raw pointers; the
-///      registry guarantees pointer stability for the process lifetime
-///      (entries live in deques and are never destroyed or moved).
+///   1. **Hot-path cost.** A write is one relaxed load + store (two for a
+///      histogram: bucket + sum) on the *writing thread's own stripe*: no
+///      lock, no lock-prefixed read-modify-write, no allocation, no branch
+///      beyond the enable check and the stripe lookup. Metric objects are
+///      looked up once (at construction / first touch) and cached as raw
+///      pointers; the registry guarantees pointer stability for the
+///      process lifetime (entries live in deques and are never destroyed
+///      or moved).
 ///   2. **Observation only.** Nothing in this subsystem feeds back into
 ///      execution: disabling it (runtime SetEnabled(false) or compile-time
 ///      -DCRAQR_OBS_DISABLED) must leave every delivered stream
@@ -34,12 +36,28 @@
 ///      (ShardLoadStats) read the same registry counters the exporter
 ///      snapshots, so the two can never disagree.
 ///
+/// The stripe contract. Every Counter and LogHistogram holds kStripes + 1
+/// cache-line-aligned copies of its state ("stripes"; a histogram
+/// allocates each on its first write); reads (`value()`,
+/// `Snapshot()`) sum them (max: the largest stripe max). A thread leases
+/// one of kStripes slots on its first write and hands it back when it
+/// exits, so while at most kStripes threads are alive and writing, no two
+/// of them share a slot. A leased slot has a single writer, which is why
+/// its writes need no atomic read-modify-write, and the router and the
+/// shard workers recording the same per-kind operator metric never bounce
+/// one cache line between cores. Threads beyond kStripes write the extra,
+/// shared stripe with atomic adds (exact, just contended). What a thread
+/// wrote stays in its stripe after it exits and keeps counting in every
+/// read (the next lessee continues from it), so totals are exact at
+/// quiescent points; a read racing writers may miss the writes in flight.
+/// kStripes is a compile-time constant.
+///
 /// Naming scheme (dotted, lowercase; Prometheus export substitutes '_'):
 ///   craqr.ops.<Kind>.{evaluations,tuples_in}    per-operator-kind counters
 ///   craqr.ops.<Kind>.batch_size                 per-dispatch batch sizes
 ///   craqr.rt<id>.shard<i>.{tuples,batches}_{enqueued,processed}
 ///   craqr.rt<id>.shard<i>.{queue_wait_ns,process_ns,batch_latency_ns}
-///   craqr.rt<id>.router.{enqueue_ns,drain_wait_ns}
+///   craqr.rt<id>.router.{enqueue_ns,drain_wait_ns,collect_ns,merge_ns}
 ///   craqr.engine.phase.{world,handler,drain,dispatch}_ns
 ///   craqr.fabric.cell_routed.h<num_cells>       per-flat-cell counter bank
 /// `rt<id>` is a per-runtime instance scope (monotone id) so several
@@ -77,18 +95,65 @@ inline std::uint64_t NowNs() {
           .count());
 }
 
-/// \brief Monotone event counter. Writes are one relaxed fetch_add;
-/// cache-line aligned so unrelated counters never false-share.
+/// Leasable stripe slots per Counter / LogHistogram (see the stripe
+/// contract in the file comment). Covers the router, the shard workers
+/// and the exporter of a typical runtime.
+inline constexpr std::size_t kStripes = 8;
+
+namespace internal {
+inline constexpr std::uint32_t kNoStripe = ~static_cast<std::uint32_t>(0);
+/// The stripe of threads holding no lease; written with atomic adds.
+inline constexpr std::uint32_t kSharedStripe = kStripes;
+/// The calling thread's stripe; kNoStripe until its first write.
+/// Constant-initialized, so reading it costs one TLS load.
+inline thread_local std::uint32_t t_stripe = kNoStripe;
+/// Slow path of StripeIndex(): leases a free slot (handed back when the
+/// thread exits), or returns kSharedStripe when all kStripes are leased.
+std::uint32_t AcquireStripe();
+inline std::uint32_t StripeIndex() {
+  const std::uint32_t stripe = t_stripe;
+  return stripe != kNoStripe ? stripe : AcquireStripe();
+}
+/// Adds `n` to one stripe cell. A leased stripe has one writer, so a
+/// relaxed load + store is exact; the shared stripe needs the atomic add.
+inline void StripeAdd(std::atomic<std::uint64_t>& cell, std::uint64_t n,
+                      std::uint32_t stripe) {
+  if (stripe != kSharedStripe) {
+    cell.store(cell.load(std::memory_order_relaxed) + n,
+               std::memory_order_relaxed);
+  } else {
+    cell.fetch_add(n, std::memory_order_relaxed);
+  }
+}
+}  // namespace internal
+
+/// Stripe slots currently leased to live threads (<= kStripes).
+std::size_t StripesInUse();
+
+/// \brief Monotone event counter, striped per writer thread (see the file
+/// comment); `value()` sums the stripes. Each stripe has its own cache
+/// line, so neither writers of one counter nor unrelated counters
+/// false-share.
 class Counter {
  public:
-  void Add(std::uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
+  void Add(std::uint64_t n) {
+    const std::uint32_t stripe = internal::StripeIndex();
+    internal::StripeAdd(stripes_[stripe].value, n, stripe);
+  }
   void Increment() { Add(1); }
   std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
+    std::uint64_t total = 0;
+    for (const Stripe& stripe : stripes_) {
+      total += stripe.value.load(std::memory_order_relaxed);
+    }
+    return total;
   }
 
  private:
-  alignas(64) std::atomic<std::uint64_t> value_{0};
+  struct alignas(64) Stripe {
+    std::atomic<std::uint64_t> value{0};
+  };
+  std::array<Stripe, kStripes + 1> stripes_;
 };
 
 /// \brief Last-write-wins signed level (queue depths, byte footprints).
@@ -130,12 +195,21 @@ struct HistogramSnapshot {
 ///
 /// Bucket 0 holds the exact value 0; bucket i >= 1 holds [2^(i-1), 2^i).
 /// 65 buckets cover the full uint64 range, so Record never clamps. A
-/// record is two relaxed adds (bucket + sum) plus a CAS loop that almost
-/// always short-circuits (running max). p50/p95/p99 derive from the
-/// buckets at snapshot time; mean is exact (sum / count).
+/// record adds to a bucket and the sum and raises the running max, all on
+/// the calling thread's stripe (see the file comment). p50/p95/p99 derive
+/// from the buckets at snapshot time; mean is exact (sum / count).
+///
+/// A stripe is ~600 bytes, so stripes are allocated on their first
+/// record: a histogram only one thread writes (most per-runtime timers)
+/// costs one stripe.
 class LogHistogram {
  public:
   static constexpr std::size_t kNumBuckets = HistogramSnapshot::kNumBuckets;
+
+  LogHistogram() = default;
+  LogHistogram(const LogHistogram&) = delete;
+  LogHistogram& operator=(const LogHistogram&) = delete;
+  ~LogHistogram();
 
   /// Bucket index for a value: 0 for 0, otherwise bit_width(value).
   static std::size_t BucketFor(std::uint64_t value) {
@@ -157,23 +231,40 @@ class LogHistogram {
   }
 
   void Record(std::uint64_t value) {
-    buckets_[BucketFor(value)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
-    std::uint64_t prev = max_.load(std::memory_order_relaxed);
-    while (value > prev && !max_.compare_exchange_weak(
+    const std::uint32_t index = internal::StripeIndex();
+    Stripe* allocated = stripes_[index].load(std::memory_order_acquire);
+    Stripe& stripe = allocated != nullptr ? *allocated : AddStripe(index);
+    internal::StripeAdd(stripe.buckets[BucketFor(value)], 1, index);
+    internal::StripeAdd(stripe.sum, value, index);
+    std::uint64_t prev = stripe.max.load(std::memory_order_relaxed);
+    if (index != internal::kSharedStripe) {
+      if (value > prev) {
+        stripe.max.store(value, std::memory_order_relaxed);
+      }
+      return;
+    }
+    while (value > prev && !stripe.max.compare_exchange_weak(
                                prev, value, std::memory_order_relaxed)) {
     }
   }
 
-  /// Coherent-enough view for reporting: buckets are read individually
-  /// (relaxed), so a snapshot taken while writers are active may be off by
-  /// the writes in flight; taken at a quiescent point it is exact.
+  /// Coherent-enough view for reporting: the stripes' buckets are read
+  /// individually (relaxed) and summed, so a snapshot taken while writers
+  /// are active may be off by the writes in flight; taken at a quiescent
+  /// point it is exact.
   HistogramSnapshot Snapshot() const;
 
  private:
-  std::array<std::atomic<std::uint64_t>, kNumBuckets> buckets_{};
-  alignas(64) std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> max_{0};
+  struct alignas(64) Stripe {
+    std::array<std::atomic<std::uint64_t>, kNumBuckets> buckets{};
+    std::atomic<std::uint64_t> sum{0};
+    std::atomic<std::uint64_t> max{0};
+  };
+  /// Allocates stripe `index` on its first record (a racing allocation
+  /// of the shared stripe installs once).
+  Stripe& AddStripe(std::uint32_t index);
+
+  std::array<std::atomic<Stripe*>, kStripes + 1> stripes_{};
 };
 
 /// \brief A dense indexed array of counters under one name — the per-cell

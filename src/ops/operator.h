@@ -194,7 +194,9 @@ class Operator {
  private:
   /// Per-kind dispatch telemetry (evaluation count, tuple count, batch
   /// size histogram); out-of-line so the header needs no obs dependency.
-  /// Cheap: three relaxed atomic adds behind one enabled check.
+  /// Cheap: plain relaxed stores into the calling thread's own metric
+  /// stripes (obs/metrics.h) behind one enabled check, so the router and
+  /// the shard workers dispatching the same operator kind never contend.
   void RecordDispatch(std::size_t n);
 
   std::string name_;

@@ -18,7 +18,7 @@
 /// operator "can be easily extended to union multiple MDPPs at once": this
 /// implementation accepts k >= 2 disjoint rectangles whose union is itself
 /// a rectangle (the k-way generalisation of the pairwise adjacency rule),
-/// validated at construction.
+/// validated exactly at construction.
 
 namespace craqr {
 namespace ops {
@@ -31,16 +31,25 @@ namespace ops {
 /// regions, is exactly P(lambda, union of regions).
 class UnionOperator final : public Operator {
  public:
-  /// Validating factory; see the class comment for the region rule.
+  /// Validating factory; see the class comment for the region rule. The
+  /// check is exact (edge compares, no area arithmetic): every point of
+  /// the bounding box lies in exactly one half-open input region, and no
+  /// point outside it lies in any.
   static Result<std::unique_ptr<UnionOperator>> Make(
       std::string name, std::vector<geom::Rect> input_regions);
 
+  /// Per-tuple path: one half-open test against output_region().
   Status Push(const Tuple& tuple) override;
 
-  /// Batch-native: branch-free membership sweep (ORed
-  /// Rect::ContainsMask passes over the raw point column) for the
-  /// out-of-region diagnostic, then the whole batch is forwarded in a
-  /// single emit.
+  /// Batch-native: one branch-free Rect::ContainsMask sweep of the raw
+  /// point column against output_region() feeds the out-of-region
+  /// diagnostic, then the whole batch is forwarded in a single emit.
+  ///
+  /// One sweep, not one per input region: because Make proved that the
+  /// regions tile the box exactly, "inside some input region" and "inside
+  /// the box" are the same predicate for every point, edges (half-open)
+  /// and NaN (inside neither) included. A merge stage over a query's k
+  /// grid-cell pieces therefore costs one pass per batch instead of k.
   Status PushBatch(TupleBatch& batch) override;
 
   OperatorKind kind() const override { return OperatorKind::kUnion; }
@@ -81,7 +90,7 @@ class UnionOperator final : public Operator {
   std::vector<geom::Rect> input_regions_;
   geom::Rect output_region_;
   std::uint64_t out_of_region_ = 0;
-  /// Recycled "inside any input region" mask of the batch sweep.
+  /// Recycled "inside output_region_" mask of the batch sweep.
   std::vector<std::uint8_t> inside_mask_;
 };
 

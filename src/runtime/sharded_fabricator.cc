@@ -71,6 +71,10 @@ Result<std::unique_ptr<ShardedFabricator>> ShardedFabricator::Make(
       obs::GetHistogram(runtime->metrics_scope_ + ".router.enqueue_ns");
   runtime->router_drain_wait_ns_ =
       obs::GetHistogram(runtime->metrics_scope_ + ".router.drain_wait_ns");
+  runtime->router_collect_ns_ =
+      obs::GetHistogram(runtime->metrics_scope_ + ".router.collect_ns");
+  runtime->router_merge_ns_ =
+      obs::GetHistogram(runtime->metrics_scope_ + ".router.merge_ns");
   runtime->router_trace_ = obs::Tracer::Global().CreateRing(
       runtime->metrics_scope_ + ".router", config.trace_capacity);
   // Dense flat-cell -> shard table for the histogram router, seeded with
@@ -249,6 +253,8 @@ Status ShardedFabricator::CollectLocked(std::uint64_t max_delivery_epoch) {
   std::map<std::uint64_t, std::unordered_map<query::QueryId, CollectedGroup>>
       per_epoch;
   std::vector<ViolationEvent> violations;
+  const bool timed = obs::IsEnabled();
+  const std::uint64_t t0 = timed ? obs::NowNs() : 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     ShardOutbox box = shards_[s]->TakeOutbox(max_delivery_epoch);
     for (auto& [epoch, per_query] : box.delivered) {
@@ -269,6 +275,9 @@ Status ShardedFabricator::CollectLocked(std::uint64_t max_delivery_epoch) {
       violations.push_back(std::move(v));
     }
   }
+  if (timed) {
+    router_collect_ns_->Record(obs::NowNs() - t0);
+  }
 
   for (auto& [epoch, per_query] : per_epoch) {
     for (auto& [id, group] : per_query) {
@@ -285,7 +294,11 @@ Status ShardedFabricator::CollectLocked(std::uint64_t max_delivery_epoch) {
       // fabricator drives, so delivery order cannot diverge between the
       // two paths. A single-cell query lives entirely on one shard and its
       // partial stream arrives already time-ordered.
+      const std::uint64_t t_merge = timed ? obs::NowNs() : 0;
       CRAQR_RETURN_NOT_OK(DeliverEpochLocked(it->second, epoch, group.batch));
+      if (timed) {
+        router_merge_ns_->Record(obs::NowNs() - t_merge);
+      }
       // Merge stages copy out (reorder buffer) or the spool swapped the
       // storage away; either way what's left recycles to its origin shard.
       shards_[group.origin]->arena().Release(std::move(group.batch));

@@ -506,6 +506,10 @@ class ShardedFabricator {
   /// Worker shards.
   std::size_t num_shards() const { return shards_.size(); }
 
+  /// This runtime's registry metric scope, e.g. "craqr.rt3": the prefix
+  /// of its `.shard<i>.*` and `.router.*` metrics (obs/metrics.h).
+  const std::string& metrics_scope() const { return metrics_scope_; }
+
   /// \brief Runs StreamFabricator::ValidateInvariants on every shard (after
   /// a drain) and checks the router's own bookkeeping: every query's shard
   /// attachments resolve to live partial queries on the right shards, the
@@ -723,6 +727,11 @@ class ShardedFabricator {
   obs::LogHistogram* router_enqueue_ns_ = nullptr;
   /// Wall time DrainThrough/Drain spent waiting on shard epochs.
   obs::LogHistogram* router_drain_wait_ns_ = nullptr;
+  /// CollectLocked's outbox take + splice, one record per collect pass.
+  obs::LogHistogram* router_collect_ns_ = nullptr;
+  /// One DeliverEpochLocked (merge-stage push + FlushAll, spool drain
+  /// included), one record per delivered (epoch, query).
+  obs::LogHistogram* router_merge_ns_ = nullptr;
   /// Router span trace ring; nullptr unless config.trace_capacity > 0.
   obs::TraceRing* router_trace_ = nullptr;
   ///@}

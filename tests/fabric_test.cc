@@ -58,6 +58,29 @@ TEST(FabricatorTest, InsertValidatesQuery) {
       fabricator->InsertQuery(kRain, geom::Rect(10, 10, 12, 12), 1.0).ok());
 }
 
+TEST(FabricatorTest, InsertsOnGridsWithInexactCellWidths) {
+  // 15 x 15 cells over 10 km: the cell width 2/3 km is inexact in binary.
+  // When a cell's far edge missed its neighbour's near edge by an ulp, the
+  // two overlap pieces overlapped and the merge stage's Union rejected
+  // them as not disjoint.
+  const auto grid =
+      geom::Grid::Make(geom::Rect(0, 0, 10, 10), 225).MoveValue();
+  auto fabricator = StreamFabricator::Make(grid, FabricConfig()).MoveValue();
+  EXPECT_TRUE(
+      fabricator->InsertQuery(kRain, geom::Rect(4, 1, 5.5, 2), 1.0).ok());
+  // Every 1.5 x 1 km placement on a 0.5 km lattice inserts as well.
+  for (double x = 0.0; x + 1.5 <= 10.0; x += 0.5) {
+    for (double y = 0.0; y + 1.0 <= 10.0; y += 0.5) {
+      ASSERT_TRUE(
+          fabricator->InsertQuery(kTemp, geom::Rect(x, y, x + 1.5, y + 1.0),
+                                  1.0)
+              .ok())
+          << "x=" << x << " y=" << y;
+    }
+  }
+  EXPECT_TRUE(fabricator->ValidateInvariants().ok());
+}
+
 TEST(FabricatorTest, SingleCellQueryMaterializesOneCell) {
   auto fabricator = MakeFabricator();
   const auto stream =

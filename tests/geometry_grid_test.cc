@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "geometry/grid.h"
 
@@ -31,17 +32,34 @@ TEST(GridTest, DimensionsAndCellArea) {
 }
 
 TEST(GridTest, CellRectsTileTheRegion) {
-  const Grid grid = MakeGrid(6.0, 16);
-  double total = 0.0;
-  for (std::uint32_t q = 0; q < grid.CellsPerSide(); ++q) {
-    for (std::uint32_t r = 0; r < grid.CellsPerSide(); ++r) {
-      const Rect cell = grid.CellRect(CellIndex{q, r});
-      total += cell.Area();
-      EXPECT_TRUE(grid.region().ContainsRect(cell));
+  // 6/4 is exact in binary; 10/9 and 10/15 are not, which is where a far
+  // edge derived as `left + width` misses the next cell's left edge.
+  for (const auto& [side_km, h] : {std::pair<double, std::uint32_t>{6.0, 16},
+                                   {10.0, 81},
+                                   {10.0, 225}}) {
+    const Grid grid = MakeGrid(side_km, h);
+    const std::uint32_t side = grid.CellsPerSide();
+    double total = 0.0;
+    for (std::uint32_t q = 0; q < side; ++q) {
+      for (std::uint32_t r = 0; r < side; ++r) {
+        const Rect cell = grid.CellRect(CellIndex{q, r});
+        total += cell.Area();
+        EXPECT_TRUE(grid.region().ContainsRect(cell));
+        // Neighbours share bit-identical seams; the outer cells end on
+        // the region's own edges.
+        const Rect right = grid.CellRect(CellIndex{q + 1 < side ? q + 1 : q, r});
+        const Rect up = grid.CellRect(CellIndex{q, r + 1 < side ? r + 1 : r});
+        EXPECT_EQ(cell.x_max(), q + 1 < side ? right.x_min()
+                                             : grid.region().x_max())
+            << side_km << "/" << h << " q=" << q;
+        EXPECT_EQ(cell.y_max(), r + 1 < side ? up.y_min()
+                                             : grid.region().y_max())
+            << side_km << "/" << h << " r=" << r;
+      }
     }
+    // Paper Eq. (2): area(R) = sum of cell areas.
+    EXPECT_NEAR(total, grid.region().Area(), 1e-9);
   }
-  // Paper Eq. (2): area(R) = sum of cell areas.
-  EXPECT_NEAR(total, grid.region().Area(), 1e-9);
 }
 
 TEST(GridTest, CellContainingRoundTrips) {

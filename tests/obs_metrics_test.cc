@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -178,19 +179,24 @@ TEST(RegistryTest, CounterBankBoundsAndTopK) {
 
 TEST(RegistryTest, ConcurrentWritersAreExact) {
   obs::Counter* counter = obs::GetCounter("test.concurrent.counter");
+  obs::Counter* adder = obs::GetCounter("test.concurrent.adder");
   obs::LogHistogram* hist = obs::GetHistogram("test.concurrent.hist");
   obs::CounterBank* bank = obs::GetCounterBank("test.concurrent.bank", 4);
   constexpr int kThreads = 4;
   constexpr std::uint64_t kPerThread = 20000;
   const std::uint64_t base_count = counter->value();
-  const std::uint64_t base_hist = hist->Snapshot().count;
+  const std::uint64_t base_added = adder->value();
+  const obs::HistogramSnapshot base_hist = hist->Snapshot();
   const std::uint64_t base_bank = bank->Total();
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([=]() {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
         counter->Increment();
-        hist->Record(i & 1023);
+        adder->Add(t + 1);
+        // Thread t records the values t, t + 4, ..., so the overall max
+        // comes from the last thread's stripe alone.
+        hist->Record(i * kThreads + t);
         bank->Add(i & 3, 1);
       }
     });
@@ -200,8 +206,101 @@ TEST(RegistryTest, ConcurrentWritersAreExact) {
   }
   const std::uint64_t expected = kThreads * kPerThread;
   EXPECT_EQ(counter->value() - base_count, expected);
-  EXPECT_EQ(hist->Snapshot().count - base_hist, expected);
+  // sum over t of (t + 1) * kPerThread.
+  EXPECT_EQ(adder->value() - base_added,
+            kPerThread * kThreads * (kThreads + 1) / 2);
+  const obs::HistogramSnapshot snap = hist->Snapshot();
+  EXPECT_EQ(snap.count - base_hist.count, expected);
+  // Every value 0 .. expected - 1 recorded once.
+  EXPECT_EQ(snap.sum - base_hist.sum, expected * (expected - 1) / 2);
+  EXPECT_EQ(snap.max, std::max(base_hist.max, expected - 1));
+  std::uint64_t bucket_total = 0;
+  for (const std::uint64_t n : snap.buckets) {
+    bucket_total += n;
+  }
+  EXPECT_EQ(bucket_total, snap.count);
   EXPECT_EQ(bank->Total() - base_bank, expected);
+}
+
+TEST(RegistryTest, LiveThreadsOwnDistinctStripesAndHandThemBack) {
+  obs::Counter* counter = obs::GetCounter("test.stripes.counter");
+  counter->Increment();  // this thread holds its slot from here on
+  const std::size_t base = obs::StripesInUse();
+  ASSERT_GE(base, 1u);
+  // Threads alive at the same time, while slots are free, each lease a
+  // slot of their own.
+  const std::size_t num_threads =
+      std::min<std::size_t>(3, obs::kStripes - base);
+  std::vector<std::size_t> stripes(num_threads);
+  std::atomic<std::size_t> written{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < num_threads; ++t) {
+    threads.emplace_back([&, t]() {
+      counter->Increment();
+      stripes[t] = obs::internal::StripeIndex();
+      written.fetch_add(1);
+      while (!release.load()) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  while (written.load() < num_threads) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(obs::StripesInUse(), base + num_threads);
+  release.store(true);
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  std::sort(stripes.begin(), stripes.end());
+  EXPECT_EQ(std::unique(stripes.begin(), stripes.end()), stripes.end());
+  EXPECT_EQ(std::count(stripes.begin(), stripes.end(),
+                       obs::internal::StripeIndex()),
+            0);
+  // Exited threads handed their slots back; their counts stay.
+  EXPECT_EQ(obs::StripesInUse(), base);
+  EXPECT_GE(counter->value(), 1u + num_threads);
+  // A later thread reuses a returned slot.
+  std::size_t reused = obs::kStripes;
+  std::thread([&]() {
+    counter->Increment();
+    reused = obs::internal::StripeIndex();
+  }).join();
+  EXPECT_TRUE(std::binary_search(stripes.begin(), stripes.end(), reused) ||
+              num_threads == 0);
+  EXPECT_EQ(obs::StripesInUse(), base);
+
+  // More live writers than slots: the surplus threads share one stripe,
+  // and the totals stay exact.
+  obs::LogHistogram* hist = obs::GetHistogram("test.stripes.hist");
+  const std::uint64_t count0 = counter->value();
+  const std::uint64_t hist0 = hist->Snapshot().count;
+  constexpr std::size_t kCrowd = obs::kStripes + 3;
+  constexpr std::uint64_t kPerThread = 5000;
+  std::atomic<std::size_t> started{0};
+  threads.clear();
+  for (std::size_t t = 0; t < kCrowd; ++t) {
+    threads.emplace_back([&]() {
+      counter->Increment();  // lease (or share) before anyone exits
+      started.fetch_add(1);
+      while (started.load() < kCrowd) {
+        std::this_thread::yield();
+      }
+      for (std::uint64_t i = 1; i < kPerThread; ++i) {
+        counter->Increment();
+        hist->Record(i);
+      }
+      hist->Record(0);
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(counter->value() - count0, kCrowd * kPerThread);
+  EXPECT_EQ(hist->Snapshot().count - hist0, kCrowd * kPerThread);
+  EXPECT_EQ(hist->Snapshot().max, kPerThread - 1);
+  EXPECT_EQ(obs::StripesInUse(), base);
 }
 
 // ---------------------------------------------------------------------------

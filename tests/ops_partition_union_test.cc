@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/math.h"
 #include "common/rng.h"
+#include "common/state_io.h"
+#include "geometry/grid.h"
 #include "ops/extras.h"
 #include "ops/partition.h"
 #include "ops/union_op.h"
@@ -189,6 +197,126 @@ TEST(UnionTest, CountsOutOfRegionTuples) {
   EXPECT_EQ(u->out_of_region(), 1u);
   // Still forwarded (diagnostic, not a filter).
   EXPECT_EQ(sink->tuples().size(), 1u);
+
+  // Union tests membership against its bounding box in one sweep. On the
+  // pieces the fabric's merge stages build — a query's grid-cell overlaps
+  // — that must count exactly what OR-ing one test per piece counts. The
+  // grids have an exact cell width (8 km / 16 x 16) and inexact ones
+  // (10 km / 9 x 9 and 15 x 15).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto below = [](double v) { return std::nextafter(v, -1e300); };
+  for (const auto& [km, h] : {std::pair<double, std::uint32_t>{8.0, 256},
+                              {10.0, 81},
+                              {10.0, 225}}) {
+    const auto grid = geom::Grid::Make(geom::Rect(0, 0, km, km), h).MoveValue();
+    const geom::Rect row =
+        grid.CellRect({0, grid.CellsPerSide() / 2});  // a middle cell row
+    const std::vector<geom::Rect> queries = {
+        geom::Rect(0, 0, km, km),                        // full region
+        geom::Rect(0, 0, km / 2, km),                    // half region
+        geom::Rect(0.3, 1.1, 2.3, 3.1),                  // 2 x 2 km square,
+        geom::Rect(km - 2.9, km / 2 - 0.7, km - 0.9,     // roaming
+                   km / 2 + 1.3),
+        geom::Rect(0, row.y_min(), km, row.y_max())};    // one-row strip
+    for (const auto& query : queries) {
+      SCOPED_TRACE(std::to_string(km) + " km/" + std::to_string(h) +
+                   " cells, query " + query.ToString());
+      std::vector<geom::Rect> pieces;
+      for (const auto& overlap : grid.Overlaps(query).MoveValue()) {
+        pieces.push_back(overlap.region);
+      }
+      ASSERT_GE(pieces.size(), 2u);
+      auto made = UnionOperator::Make("u", pieces);
+      ASSERT_TRUE(made.ok()) << made.status().ToString();
+      const auto make = [&pieces] {
+        return UnionOperator::Make("u", pieces).MoveValue();
+      };
+      auto per_tuple = made.MoveValue();
+      const geom::Rect box = per_tuple->output_region();
+
+      // Random points over and around the region; every piece corner,
+      // edge midpoint and the last value below each far edge; the same on
+      // the bounding box; points outside the region; and NaN coordinates.
+      std::vector<geom::SpaceTimePoint> points;
+      Rng rng(h);
+      for (int i = 0; i < 400; ++i) {
+        points.push_back({0.0, rng.Uniform(-1.0, km + 1.0),
+                          rng.Uniform(-1.0, km + 1.0)});
+      }
+      std::vector<geom::Rect> edged = pieces;
+      edged.push_back(box);
+      for (const auto& r : edged) {
+        const double mid_x = (r.x_min() + r.x_max()) / 2;
+        const double mid_y = (r.y_min() + r.y_max()) / 2;
+        for (const double x : {below(r.x_min()), r.x_min(), mid_x,
+                               below(r.x_max()), r.x_max()}) {
+          for (const double y : {below(r.y_min()), r.y_min(), mid_y,
+                                 below(r.y_max()), r.y_max()}) {
+            points.push_back({0.0, x, y});
+          }
+        }
+      }
+      for (const auto& [x, y] : {std::pair<double, double>{-1.0, -1.0},
+                                 {km + 1.0, km / 2},
+                                 {nan, 1.0},
+                                 {1.0, nan},
+                                 {nan, nan}}) {
+        points.push_back({0.0, x, y});
+      }
+      // Reference: the per-piece OR.
+      const auto outside = [&pieces](const geom::SpaceTimePoint& p) {
+        for (const auto& piece : pieces) {
+          if (piece.Contains(p.x, p.y)) {
+            return false;
+          }
+        }
+        return true;
+      };
+      std::uint64_t expected = 0;
+      for (const auto& p : points) {
+        expected += outside(p) ? 1 : 0;
+      }
+      ASSERT_GT(expected, 0u);
+
+      auto per_tuple_sink = SinkOperator::Make("s", 1 << 16).MoveValue();
+      per_tuple->AddOutput(per_tuple_sink.get());
+      for (const auto& p : points) {
+        ASSERT_TRUE(per_tuple->Push(TupleAt(p)).ok());
+      }
+      EXPECT_EQ(per_tuple->out_of_region(), expected);
+
+      // The batch path, once on the whole batch and once on a batch whose
+      // selection left every third row behind as an inactive husk.
+      auto batched = make();
+      auto batched_sink = SinkOperator::Make("s", 1 << 16).MoveValue();
+      batched->AddOutput(batched_sink.get());
+      std::vector<Tuple> tuples;
+      for (const auto& p : points) {
+        tuples.push_back(TupleAt(p));
+      }
+      TupleBatch batch;
+      batch.Assign(tuples);
+      ASSERT_TRUE(batched->PushBatch(batch).ok());
+      EXPECT_EQ(batched->out_of_region(), expected);
+      batch.Assign(tuples);
+      batch.RetainRaw([](std::uint32_t i) { return i % 3 != 0; });
+      std::uint64_t expected_kept = 0;
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        expected_kept += (i % 3 != 0 && outside(points[i])) ? 1 : 0;
+      }
+      ASSERT_TRUE(batched->PushBatch(batch).ok());
+      EXPECT_EQ(batched->out_of_region(), expected + expected_kept);
+
+      // The diagnostic round-trips through a checkpoint.
+      StateWriter writer;
+      batched->SaveState(writer);
+      auto restored = make();
+      StateReader reader(writer.bytes());
+      ASSERT_TRUE(restored->RestoreState(reader).ok());
+      EXPECT_EQ(restored->out_of_region(), batched->out_of_region());
+      EXPECT_EQ(restored->stats().tuples_in, batched->stats().tuples_in);
+    }
+  }
 }
 
 }  // namespace

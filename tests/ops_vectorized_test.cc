@@ -250,15 +250,6 @@ TEST(VectorizedKernelTest, ContainsMaskMatchesContainsIncludingEdges) {
     EXPECT_EQ(mask[i] != 0, rect.Contains(points[i].x, points[i].y))
         << "x=" << points[i].x << " y=" << points[i].y;
   }
-  // The OR variant accumulates without clearing.
-  const geom::Rect other(0.0, 0.0, 1.0, 2.0);
-  std::vector<std::uint8_t> ored(points.size(), 0);
-  rect.ContainsMaskOr({points.data(), points.size()}, ored.data());
-  other.ContainsMaskOr({points.data(), points.size()}, ored.data());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(ored[i] != 0, rect.Contains(points[i].x, points[i].y) ||
-                                other.Contains(points[i].x, points[i].y));
-  }
 }
 
 TEST(VectorizedKernelTest, FillFlatCellsMatchesCellContaining) {

@@ -4,11 +4,13 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "fabric/fabricator.h"
+#include "obs/metrics.h"
 #include "ops/value_pool.h"
 #include "runtime/sharded_fabricator.h"
 
@@ -147,6 +149,63 @@ TEST(ShardedEquivalenceTest, MatchesSingleThreadedFabricatorUnderChurn) {
     SCOPED_TRACE("num_shards=" + std::to_string(shards));
     ExpectSameDelivery(reference, RunSharded(shards));
   }
+}
+
+TEST(ShardedEquivalenceTest, InsertsOnGridsWithInexactCellWidths) {
+  // 15 x 15 cells over 10 km: the cell width 2/3 km is inexact in binary.
+  // When a cell's far edge missed its neighbour's near edge by an ulp, the
+  // cross-shard merge stage's Union rejected this query as not disjoint.
+  const auto grid =
+      geom::Grid::Make(geom::Rect(0, 0, 10, 10), 225).MoveValue();
+  const geom::Rect region(4, 1, 5.5, 2);
+  ShardedConfig config;
+  config.num_shards = 3;
+  config.fabric = TestFabricConfig();
+  auto sharded = ShardedFabricator::Make(grid, config).MoveValue();
+  auto single =
+      fabric::StreamFabricator::Make(grid, TestFabricConfig()).MoveValue();
+  const auto q_sharded = sharded->InsertQuery(kRain, region, 1.0);
+  ASSERT_TRUE(q_sharded.ok()) << q_sharded.status().ToString();
+  const auto q_single = single->InsertQuery(kRain, region, 1.0);
+  ASSERT_TRUE(q_single.ok()) << q_single.status().ToString();
+
+  // Traffic around the query, plus one tuple on every cell seam the query
+  // crosses: both sides of a seam belong to the query's stream.
+  Rng rng(31);
+  double t = 0.0;
+  std::uint64_t next_id = 1;
+  for (int b = 0; b < 6; ++b) {
+    std::vector<ops::Tuple> batch;
+    for (int i = 0; i < 400; ++i) {
+      ops::Tuple tuple;
+      tuple.id = next_id++;
+      tuple.attribute = kRain;
+      t += 0.01;
+      tuple.point = geom::SpaceTimePoint{t, rng.Uniform(3.0, 6.5),
+                                         rng.Uniform(0.5, 2.5)};
+      batch.push_back(tuple);
+    }
+    for (std::uint32_t q = 6; q <= 8; ++q) {
+      ops::Tuple tuple;
+      tuple.id = next_id++;
+      tuple.attribute = kRain;
+      t += 0.01;
+      const geom::Rect cell = grid.CellRect(geom::CellIndex{q, 2});
+      tuple.point = geom::SpaceTimePoint{t, cell.x_min(), cell.y_min()};
+      batch.push_back(tuple);
+    }
+    std::vector<ops::Tuple> copy = batch;
+    ASSERT_TRUE(sharded->ProcessBatch(batch).ok());
+    ASSERT_TRUE(single->ProcessBatch(copy).ok());
+  }
+  ASSERT_TRUE(sharded->ValidateInvariants().ok());
+  ASSERT_TRUE(single->ValidateInvariants().ok());
+  const auto s_sharded = sharded->GetStream(q_sharded->id);
+  const auto s_single = single->GetStream(q_single->id);
+  ASSERT_TRUE(s_sharded.ok() && s_single.ok());
+  EXPECT_GT(s_single->sink->total_received(), 0u);
+  EXPECT_EQ(s_sharded->sink->total_received(),
+            s_single->sink->total_received());
 }
 
 TEST(ShardedEquivalenceTest, FixedShardCountIsDeterministic) {
@@ -460,6 +519,66 @@ TEST(ShardedLoadTest, PerShardLoadCountersAccountForRoutedWork) {
   EXPECT_LE(stats->tuples_routed, enqueued);
   EXPECT_GT(busy, 0u);
   EXPECT_EQ(stats->value_pool_bytes, ops::ValuePool::Global().ApproxBytes());
+}
+
+TEST(ShardedLoadTest, RouterTailHistogramsCountCollectsAndMerges) {
+  ShardedConfig config;
+  config.num_shards = 3;
+  config.fabric = TestFabricConfig();
+  auto fab = ShardedFabricator::Make(TestGrid(), config).MoveValue();
+  // Multi-cell queries only: each merge stage is headed by a Union, and a
+  // sharded runtime's only Union operators are its router merge stages, so
+  // the process-wide U dispatch counter counts merge-stage deliveries.
+  const auto q1 = fab->InsertQuery(kRain, geom::Rect(0, 0, 4, 4), 6.0);
+  const auto q2 = fab->InsertQuery(kTemp, geom::Rect(0, 0, 2, 4), 4.0);
+  ASSERT_TRUE(q1.ok() && q2.ok());
+  const std::string scope = fab->metrics_scope();
+  obs::LogHistogram* collect = obs::GetHistogram(scope + ".router.collect_ns");
+  obs::LogHistogram* merge = obs::GetHistogram(scope + ".router.merge_ns");
+  obs::Counter* union_pushes = obs::GetCounter("craqr.ops.U.evaluations");
+
+  const bool was_enabled = obs::IsEnabled();
+  obs::SetEnabled(true);
+  const std::uint64_t collect0 = collect->Snapshot().count;
+  const std::uint64_t merge0 = merge->Snapshot().count;
+  const std::uint64_t union0 = union_pushes->value();
+  Rng rng(61);
+  double t = 0.0;
+  std::uint64_t next_id = 1;
+  // Deliveries visible at the sinks: (batch, query) pairs whose sink grew.
+  std::uint64_t seen_deliveries = 0;
+  std::uint64_t received[2] = {0, 0};
+  constexpr int kBatches = 8;
+  for (int b = 0; b < kBatches; ++b) {
+    auto batch = MakeBatch(&rng, &t, 96, next_id);
+    next_id += batch.size();
+    ASSERT_TRUE(fab->ProcessBatch(batch).ok());
+    int k = 0;
+    for (const auto id : {q1->id, q2->id}) {
+      const std::uint64_t now = fab->GetStream(id)->sink->total_received();
+      seen_deliveries += now > received[k] ? 1 : 0;
+      received[k++] = now;
+    }
+  }
+  // ProcessBatch collects exactly once; each delivered (epoch, query)
+  // records one merge.
+  EXPECT_EQ(collect->Snapshot().count - collect0,
+            static_cast<std::uint64_t>(kBatches));
+  const std::uint64_t merges = merge->Snapshot().count - merge0;
+  EXPECT_EQ(merges, union_pushes->value() - union0);
+  EXPECT_GE(merges, seen_deliveries);
+  EXPECT_GT(seen_deliveries, 0u);
+  EXPECT_LE(merges, 2u * kBatches);
+
+  // Observation-gated: with obs off neither histogram moves.
+  obs::SetEnabled(false);
+  const std::uint64_t collect1 = collect->Snapshot().count;
+  const std::uint64_t merge1 = merge->Snapshot().count;
+  auto batch = MakeBatch(&rng, &t, 96, next_id);
+  ASSERT_TRUE(fab->ProcessBatch(batch).ok());
+  obs::SetEnabled(was_enabled);
+  EXPECT_EQ(collect->Snapshot().count, collect1);
+  EXPECT_EQ(merge->Snapshot().count, merge1);
 }
 
 TEST(ShardedStressTest, DestructorJoinsWorkersWithQueuedWork) {
