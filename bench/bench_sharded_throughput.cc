@@ -15,7 +15,11 @@
 /// with pipeline_depth 1 (BM_EngineStepSync: drain every step) vs
 /// pipeline_depth 2 (BM_EngineStepPipelined: world simulation and handler
 /// dispatch of tick t+1 overlap the shards chewing tick t) and logs the
-/// steps/sec ratio — the CI release-bench job greps this.
+/// steps/sec ratio — the CI release-bench job greps this. For both depths
+/// it prints each engine phase's share (world / handler / drain /
+/// dispatch, from the craqr.engine.phase.* histograms) of the summed
+/// Step() wall time, and exits non-zero when the phases cover less than
+/// 90% of it.
 ///
 /// Scaling is bounded by std::thread::hardware_concurrency(): on a
 /// single-core container every configuration serializes onto one CPU and
@@ -59,6 +63,7 @@
 #include "common/rng.h"
 #include "core/engine.h"
 #include "obs/exporter.h"
+#include "obs/metrics.h"
 #include "fabric/fabricator.h"
 #include "runtime/sharded_fabricator.h"
 #include "sensing/world.h"
@@ -367,14 +372,34 @@ sensing::CrowdWorld MakeEngineWorld(std::size_t sensors) {
   return world;
 }
 
+/// The engine's Step phases (craqr.engine.phase.*_ns), in order.
+const char* const kEnginePhases[] = {"world", "handler", "drain", "dispatch"};
+
+/// Running sums, in ns, of the engine's phase histograms.
+std::vector<std::uint64_t> ReadPhaseSums() {
+  std::vector<std::uint64_t> sums;
+  for (const char* phase : kEnginePhases) {
+    sums.push_back(
+        obs::GetHistogram(std::string("craqr.engine.phase.") + phase + "_ns")
+            ->Snapshot()
+            .sum);
+  }
+  return sums;
+}
+
 struct EngineRunResult {
   double steps_per_sec = 0.0;
   std::uint64_t routed = 0;
+  /// Summed wall time of the timed Step() calls.
+  std::uint64_t step_ns = 0;
+  /// Each phase's recorded time over the timed steps.
+  std::vector<std::uint64_t> phase_ns;
 };
 
 /// Full engine loop at `num_shards` shards and the given pipeline depth:
-/// warms up, times `steps` Step() calls plus the final drain, and reports
-/// steps/sec and routed tuples (the latter must be depth-independent).
+/// warms up, times `steps` Step() calls one by one, and reports steps/sec,
+/// routed tuples (the latter must be depth-independent) and the phase
+/// times recorded over the timed steps.
 EngineRunResult RunEngineSteps(std::size_t num_shards,
                                std::size_t pipeline_depth, std::size_t steps,
                                std::size_t sensors) {
@@ -406,20 +431,64 @@ EngineRunResult RunEngineSteps(std::size_t num_shards,
     std::fprintf(stderr, "warm-up RunFor failed\n");
     std::exit(1);
   }
+  EngineRunResult result;
+  const std::vector<std::uint64_t> phases_before = ReadPhaseSums();
   const auto start = std::chrono::steady_clock::now();
-  if (!engine->RunFor(static_cast<double>(steps)).ok()) {
-    std::fprintf(stderr, "timed RunFor failed\n");
-    std::exit(1);
+  for (std::size_t i = 0; i < steps; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    if (!engine->Step().ok()) {
+      std::fprintf(stderr, "timed Step failed\n");
+      std::exit(1);
+    }
+    result.step_ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
   }
   const auto end = std::chrono::steady_clock::now();
+  const std::vector<std::uint64_t> phases_after = ReadPhaseSums();
+  for (std::size_t p = 0; p < phases_after.size(); ++p) {
+    result.phase_ns.push_back(phases_after[p] - phases_before[p]);
+  }
   const double seconds =
       std::chrono::duration_cast<std::chrono::duration<double>>(end - start)
           .count();
-  EngineRunResult result;
   result.steps_per_sec =
       seconds > 0.0 ? static_cast<double>(steps) / seconds : 0.0;
   result.routed = engine->TuplesRouted();
   return result;
+}
+
+/// Smallest share of the summed Step wall time the phase timers must
+/// cover; below it, untimed work hides in a step.
+constexpr double kMinPhaseCoverage = 0.9;
+
+/// Prints each phase's share of the summed Step wall time; false when the
+/// phases cover less than kMinPhaseCoverage of it. Nothing to check with
+/// observability off, since the phases are then not recorded.
+bool ReportPhaseShares(const char* label, const EngineRunResult& run) {
+  if (!obs::IsEnabled()) {
+    std::printf("%-28s phases not recorded (observability off)\n", label);
+    return true;
+  }
+  const double total = static_cast<double>(run.step_ns);
+  double covered = 0.0;
+  std::printf("%-28s", label);
+  for (std::size_t p = 0; p < run.phase_ns.size(); ++p) {
+    const double share =
+        total > 0.0 ? static_cast<double>(run.phase_ns[p]) / total : 0.0;
+    covered += share;
+    std::printf(" %s %5.1f%%", kEnginePhases[p], 100.0 * share);
+  }
+  std::printf("  covered %5.1f%%\n", 100.0 * covered);
+  if (covered < kMinPhaseCoverage) {
+    std::fprintf(stderr,
+                 "FAIL: %s engine phases cover %.1f%% of the Step wall time "
+                 "(< %.0f%%)\n",
+                 label, 100.0 * covered, 100.0 * kMinPhaseCoverage);
+    return false;
+  }
+  return true;
 }
 
 /// Prints BM_EngineStepSync / BM_EngineStepPipelined and their ratio.
@@ -445,6 +514,13 @@ bool RunEngineStepBench(std::size_t steps, std::size_t sensors) {
   std::printf("%-28s %14.1f %12llu %9.2fx\n", "BM_EngineStepPipelined",
               pipelined.steps_per_sec,
               static_cast<unsigned long long>(pipelined.routed), ratio);
+  std::printf("share of summed Step wall time per phase:\n");
+  const bool sync_covered = ReportPhaseShares("BM_EngineStepSync", sync);
+  const bool pipelined_covered =
+      ReportPhaseShares("BM_EngineStepPipelined", pipelined);
+  if (!sync_covered || !pipelined_covered) {
+    return false;
+  }
   const double low = static_cast<double>(sync.routed) * 0.5;
   const double high = static_cast<double>(sync.routed) * 2.0;
   if (static_cast<double>(pipelined.routed) < low ||

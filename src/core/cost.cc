@@ -27,8 +27,10 @@ double OperatorCosts::CostOf(ops::OperatorKind kind) const {
       return sink;
     case ops::OperatorKind::kPassThrough:
       return pass_through;
+    case ops::OperatorKind::kReorder:
+      return union_merge;
   }
-  return 1.0;
+  return 1.0;  // not an OperatorKind
 }
 
 std::string TopologyCostReport::ToString() const {

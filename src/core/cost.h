@@ -26,7 +26,10 @@ struct OperatorCosts {
   double flatten = 8.0;      ///< estimation + retaining-probability work
   double thin = 1.0;         ///< one Bernoulli draw
   double partition = 1.5;    ///< region lookups
-  double union_merge = 0.5;  ///< pass-through with region check
+  /// Pass-through with region check. Also prices the merge stage's
+  /// Reorder buffer, which holds a step's merged tuples and re-emits them
+  /// sorted: part of the same merge, not a separate kind of work.
+  double union_merge = 0.5;
   double superpose = 0.5;
   double filter = 1.0;
   double map = 1.0;

@@ -14,17 +14,21 @@ geom::SpacePoint ReflectIntoRect(geom::SpacePoint p,
     if (span <= 0.0) {
       return lo;
     }
-    // Fold the coordinate into a period of 2*span, then mirror.
-    double offset = std::fmod(v - lo, 2.0 * span);
+    // Fold the coordinate into a period of 2*span, then mirror. Inside the
+    // first period fmod(d, 2*span) is d exactly (-0.0 included), so the
+    // common case skips the call.
+    const double d = v - lo;
+    double offset = d >= 0.0 && d < 2.0 * span ? d : std::fmod(d, 2.0 * span);
     if (offset < 0.0) {
       offset += 2.0 * span;
     }
     if (offset > span) {
       offset = 2.0 * span - offset;
     }
-    // Keep strictly inside the half-open rect.
+    // Keep strictly inside the half-open rect; lo < hi, so this is the
+    // largest double below hi.
     const double reflected = lo + offset;
-    return std::min(reflected, std::nexttoward(hi, lo));
+    return std::min(reflected, std::nextafter(hi, lo));
   };
   return geom::SpacePoint{
       reflect(p.x, region.x_min(), region.x_max()),

@@ -72,21 +72,47 @@ class SensorPopulation {
   /// Sensor accessor; index < size().
   const Sensor& sensor(std::size_t index) const { return sensors_[index]; }
 
-  /// Moves every sensor forward by `dt` minutes.
+  /// Moves every sensor forward by `dt` minutes and rebuilds the sensor
+  /// index.
   void Advance(Rng* rng, double dt);
 
-  /// Indices of sensors currently inside `rect`.
+  /// Indices of sensors currently inside `rect`, ascending: exactly the
+  /// sensors a scan of every position with `rect.Contains` would find, in
+  /// the order it would find them. Visits only the index buckets that
+  /// `rect` covers.
   std::vector<std::size_t> SensorsIn(const geom::Rect& rect) const;
 
-  /// Count of sensors currently inside `rect`.
+  /// Count of sensors currently inside `rect`; SensorsIn(rect).size().
   std::size_t CountIn(const geom::Rect& rect) const;
 
  private:
-  SensorPopulation(geom::Rect region, std::vector<Sensor> sensors)
-      : region_(region), sensors_(std::move(sensors)) {}
+  SensorPopulation(geom::Rect region, std::vector<Sensor> sensors);
+
+  /// Index bucket of a position.
+  std::uint32_t BucketOf(const geom::SpacePoint& p) const;
+
+  /// Counting-sorts the sensor indices into the bucket grid by current
+  /// position. O(m); reuses the index storage.
+  void RebuildIndex();
+
+  /// Calls `visit(i)` for every sensor i inside `rect`, bucket by bucket.
+  template <typename Visit>
+  void ForEachIn(const geom::Rect& rect, Visit visit) const;
 
   geom::Rect region_;
   std::vector<Sensor> sensors_;
+
+  // Sensor index: a uniform grid of side_ x side_ buckets over region_
+  // (about eight sensors a bucket). Positions change only in Make and
+  // Advance, and both rebuild it. Bucket b = column * side_ + row holds
+  // sensor indices bucket_items_[bucket_start_[b], bucket_start_[b + 1]),
+  // ascending, so a column's run of rows is one contiguous range.
+  std::uint32_t side_ = 1;
+  /// Buckets per km along x and y.
+  double x_scale_ = 0.0;
+  double y_scale_ = 0.0;
+  std::vector<std::uint32_t> bucket_start_;
+  std::vector<std::uint32_t> bucket_items_;
 };
 
 }  // namespace sensing

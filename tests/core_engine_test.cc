@@ -15,10 +15,13 @@ namespace {
 
 const geom::Rect kRegion(0, 0, 6, 6);
 
-sensing::CrowdWorld MakeWorld(std::size_t sensors, std::uint64_t seed = 5) {
+sensing::CrowdWorld MakeWorld(
+    std::size_t sensors, std::uint64_t seed = 5,
+    const sensing::MobilityModel* mobility = nullptr) {
   sensing::PopulationConfig pc;
   pc.region = kRegion;
   pc.num_sensors = sensors;
+  pc.mobility_prototype = mobility;
   pc.responsiveness_sigma = 0.2;
   Rng rng(seed);
   auto population = sensing::SensorPopulation::Make(pc, &rng);
@@ -457,6 +460,86 @@ TEST(EnginePipelineTest, StatsExposesGlobalValuePoolBytes) {
     EXPECT_EQ(stats.value_pool_bytes, ops::ValuePool::Global().ApproxBytes());
     EXPECT_GT(stats.value_pool_bytes, 0u);
     EXPECT_EQ(stats.per_shard.size(), shards == 1 ? 0u : shards);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Absolute stream pin
+
+/// What one walker-world run delivers: each query's stream digest, in
+/// submission order, and the crowd's request/response totals.
+struct WalkerRunResult {
+  std::vector<std::uint64_t> digests;
+  std::uint64_t requests_sent = 0;
+  std::uint64_t responses = 0;
+};
+
+/// 600 random-waypoint walkers on the 6x6 km region, incentives on, temp
+/// and rain queries; the rain hot spot outgrows the crowd, so budgets climb
+/// past the cell populations and requests switch from sampling without
+/// replacement to sampling with replacement.
+WalkerRunResult RunWalkerWorkload(std::size_t pipeline_depth) {
+  WalkerRunResult out;
+  auto walker = sensing::RandomWaypointMobility::Make(0.05, 0.4);
+  EXPECT_TRUE(walker.ok());
+  EngineConfig config = TestConfig();
+  config.pipeline_depth = pipeline_depth;
+  config.budget.max = 96.0;
+  config.enable_incentives = true;
+  config.incentive.max = 6.0;
+  auto engine =
+      CraqrEngine::Make(MakeWorld(600, 17, walker.value().get()), config)
+          .MoveValue();
+  std::vector<fabric::QueryStream> streams;
+  for (const char* text :
+       {"ACQUIRE temp FROM REGION(0, 0, 6, 6) RATE 0.5 PER KM2 PER MIN",
+        "ACQUIRE rain FROM REGION(1, 1, 5, 5) RATE 6 PER KM2 PER MIN",
+        "ACQUIRE temp FROM REGION(2, 0, 6, 4) RATE 1.5 PER KM2 PER MIN"}) {
+    auto stream = engine->SubmitText(text);
+    EXPECT_TRUE(stream.ok()) << text;
+    if (!stream.ok()) {
+      return out;
+    }
+    streams.push_back(stream.MoveValue());
+  }
+  EXPECT_TRUE(engine->RunFor(20.0).ok());
+  EXPECT_TRUE(engine->DrainPipeline().ok());
+  for (const fabric::QueryStream& q : streams) {
+    EXPECT_GT(q.sink->total_received(), 0u);
+    out.digests.push_back(StreamDigest(q.sink->tuples()));
+  }
+  out.requests_sent = engine->world().total_requests_sent();
+  out.responses = engine->world().total_responses();
+  return out;
+}
+
+TEST(EnginePinTest, WalkerStreamsMatchRecordedDigests) {
+  // The other digest tests compare configurations with each other, so a
+  // change to which sensors a request reaches, or to the order in which
+  // they are sampled, would pass them all. These values were recorded
+  // with the linear-scan sensor lookup.
+  struct Pin {
+    std::size_t depth;
+    std::vector<std::uint64_t> digests;
+    std::uint64_t requests_sent;
+    std::uint64_t responses;
+  };
+  const Pin pins[] = {
+      {1,
+       {0xd06de8b231f9380bULL, 0x34791498154e6c52ULL, 0x8a19f96a6f378b78ULL},
+       18265,
+       17916},
+      {2,
+       {0x36a1ecaf4a845272ULL, 0xd766070d08965975ULL, 0x99faafffcf2abfd5ULL},
+       17824,
+       17465},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("pipeline_depth=" + std::to_string(pin.depth));
+    const WalkerRunResult run = RunWalkerWorkload(pin.depth);
+    EXPECT_EQ(run.digests, pin.digests);
+    EXPECT_EQ(run.requests_sent, pin.requests_sent);
+    EXPECT_EQ(run.responses, pin.responses);
   }
 }
 

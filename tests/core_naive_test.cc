@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "common/rng.h"
 #include "core/cost.h"
 #include "core/engine.h"
@@ -114,6 +116,26 @@ TEST(CostModelTest, KindCostsAreDistinct) {
             costs.CostOf(ops::OperatorKind::kThin));
   EXPECT_GT(costs.CostOf(ops::OperatorKind::kThin),
             costs.CostOf(ops::OperatorKind::kPassThrough));
+}
+
+TEST(CostModelTest, EveryKindHasAnExplicitPrice) {
+  // Every field differs from the 1.0 CostOf returns for a kind it does not
+  // handle, so a kind that falls through shows as 1.0.
+  OperatorCosts costs;
+  double* const fields[] = {&costs.flatten,    &costs.thin,
+                            &costs.partition,  &costs.union_merge,
+                            &costs.superpose,  &costs.filter,
+                            &costs.map,        &costs.monitor,
+                            &costs.sink,       &costs.pass_through};
+  for (std::size_t i = 0; i < std::size(fields); ++i) {
+    *fields[i] = 100.0 + static_cast<double>(i);
+  }
+  for (std::size_t k = 0; k < ops::kNumOperatorKinds; ++k) {
+    const auto kind = static_cast<ops::OperatorKind>(k);
+    SCOPED_TRACE(ops::OperatorKindLabel(kind));
+    EXPECT_GE(costs.CostOf(kind), 100.0);
+  }
+  EXPECT_EQ(costs.CostOf(ops::OperatorKind::kReorder), costs.union_merge);
 }
 
 TEST(CostModelTest, SharedTopologyCostsLessThanNaive) {

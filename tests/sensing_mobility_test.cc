@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "sensing/mobility.h"
@@ -27,6 +32,71 @@ TEST(ReflectTest, HandlesLargeExcursions) {
   // Multiple folds still land inside.
   const auto p = ReflectIntoRect({23.7, -18.2}, kRegion);
   EXPECT_TRUE(kRegion.Contains(p));
+}
+
+/// The general fold, with `fmod` on every call and `nexttoward` for the
+/// far edge: the reference ReflectIntoRect must equal bit for bit.
+double ReferenceReflect(double v, double lo, double hi) {
+  const double span = hi - lo;
+  if (span <= 0.0) {
+    return lo;
+  }
+  double offset = std::fmod(v - lo, 2.0 * span);
+  if (offset < 0.0) {
+    offset += 2.0 * span;
+  }
+  if (offset > span) {
+    offset = 2.0 * span - offset;
+  }
+  return std::min(lo + offset, std::nexttoward(hi, lo));
+}
+
+std::uint64_t Bits(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(ReflectTest, MatchesGeneralFoldBitForBit) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto up = [inf](double v) { return std::nextafter(v, inf); };
+  const auto down = [inf](double v) { return std::nextafter(v, -inf); };
+  const geom::Rect regions[] = {kRegion, geom::Rect(-3, 2, 5, 4.5),
+                                geom::Rect(1e6, -1e-3, 1e6 + 7, 1e-3),
+                                geom::Rect(1, 1, 1, 3)};
+  Rng rng(11);
+  for (const geom::Rect& region : regions) {
+    SCOPED_TRACE(region.ToString());
+    // Probe values along x; y reuses them shifted onto its own side.
+    const auto probes = [&](double lo, double hi) {
+      const double span = hi - lo;
+      std::vector<double> v = {lo, hi, -0.0, 0.0, lo + span, lo + 2 * span,
+                               lo - 2 * span, lo + 3 * span, -1e17, -1e300,
+                               1e300, -inf, inf, nan, -nan};
+      for (const double edge : {lo, hi, lo + 2 * span, lo - span}) {
+        v.push_back(up(edge));
+        v.push_back(down(edge));
+      }
+      for (int i = 0; i < 64; ++i) {
+        v.push_back(rng.Uniform(lo - 5 * span, hi + 5 * span));
+      }
+      return v;
+    };
+    const std::vector<double> xs = probes(region.x_min(), region.x_max());
+    const std::vector<double> ys = probes(region.y_min(), region.y_max());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      for (std::size_t j = 0; j < ys.size(); ++j) {
+        const geom::SpacePoint got = ReflectIntoRect({xs[i], ys[j]}, region);
+        const double want_x =
+            ReferenceReflect(xs[i], region.x_min(), region.x_max());
+        const double want_y =
+            ReferenceReflect(ys[j], region.y_min(), region.y_max());
+        ASSERT_EQ(Bits(got.x), Bits(want_x)) << "x=" << xs[i];
+        ASSERT_EQ(Bits(got.y), Bits(want_y)) << "y=" << ys[j];
+      }
+    }
+  }
 }
 
 TEST(StaticMobilityTest, NeverMoves) {

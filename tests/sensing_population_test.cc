@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "common/rng.h"
+#include "geometry/grid.h"
 #include "pointprocess/intensity.h"
 #include "sensing/population.h"
 
@@ -129,6 +134,131 @@ TEST(PopulationTest, SensorsInFindsOnlyContained) {
     }
   }
   EXPECT_EQ(inside.size() + outside, population->size());
+}
+
+/// The linear scan SensorsIn and CountIn must agree with: every sensor, in
+/// index order, tested with Rect::Contains.
+std::vector<std::size_t> ScanSensorsIn(const SensorPopulation& population,
+                                       const geom::Rect& rect) {
+  std::vector<std::size_t> indices;
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    if (rect.Contains(population.sensor(i).position)) {
+      indices.push_back(i);
+    }
+  }
+  return indices;
+}
+
+/// Query rectangles over `region` for a population of `m` sensors: random
+/// ones, grid cells, rects on the index's bucket edges (and one ulp either
+/// side), rects covering or missing the region, and degenerate ones.
+std::vector<geom::Rect> ProbeRects(const geom::Rect& region, std::size_t m,
+                                   Rng* rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double x0 = region.x_min(), y0 = region.y_min();
+  const double x1 = region.x_max(), y1 = region.y_max();
+  const double w = region.Width(), h = region.Height();
+  std::vector<geom::Rect> rects;
+  for (int i = 0; i < 120; ++i) {
+    const double ax = rng->Uniform(x0 - 0.2 * w, x1 + 0.2 * w);
+    const double bx = rng->Uniform(x0 - 0.2 * w, x1 + 0.2 * w);
+    const double ay = rng->Uniform(y0 - 0.2 * h, y1 + 0.2 * h);
+    const double by = rng->Uniform(y0 - 0.2 * h, y1 + 0.2 * h);
+    rects.emplace_back(std::min(ax, bx), std::min(ay, by), std::max(ax, bx),
+                       std::max(ay, by));
+  }
+  for (const std::uint32_t cells : {16u * 16u, 15u * 15u}) {
+    const geom::Grid grid = geom::Grid::Make(region, cells).MoveValue();
+    for (std::uint32_t q = 0; q < grid.CellsPerSide(); ++q) {
+      for (std::uint32_t r = 0; r < grid.CellsPerSide(); ++r) {
+        rects.push_back(grid.CellRect({q, r}));
+      }
+    }
+  }
+  // Bucket edges at the index's resolution (about 8 sensors a bucket).
+  const auto side = static_cast<std::size_t>(
+      std::max(1.0, std::floor(std::sqrt(static_cast<double>(m) / 8.0))));
+  const auto edge = [side](double lo, double len, std::size_t k) {
+    return lo + len * static_cast<double>(k) / static_cast<double>(side);
+  };
+  for (std::size_t i = 0; i < side; ++i) {
+    const double ex = edge(x0, w, i), fx = edge(x0, w, i + 1);
+    const double ey = edge(y0, h, i), fy = edge(y0, h, i + 1);
+    rects.emplace_back(ex, ey, fx, fy);
+    rects.emplace_back(std::nextafter(ex, -inf), std::nextafter(ey, inf),
+                       std::nextafter(fx, inf), std::nextafter(fy, -inf));
+    rects.emplace_back(std::nextafter(ex, inf), y0, std::nextafter(fx, -inf),
+                       y1);
+  }
+  // Larger than, outside, zero-width, inverted, non-finite.
+  rects.emplace_back(x0 - w, y0 - h, x1 + w, y1 + h);
+  rects.emplace_back(-inf, -inf, inf, inf);
+  rects.emplace_back(x0, y0, x1, y1);
+  rects.emplace_back(x1, y0, x1 + w, y1);
+  rects.emplace_back(x0 - w, y0 - h, x0, y0);
+  rects.emplace_back(x0 + 0.5 * w, y0, x0 + 0.5 * w, y1);
+  rects.emplace_back(x0, y0 + 0.3 * h, x1, y0 + 0.3 * h);
+  rects.emplace_back(x1, y1, x0, y0);
+  rects.emplace_back(x0 + 0.7 * w, y0, x0 + 0.2 * w, y1);
+  rects.emplace_back(nan, y0, x1, y1);
+  rects.emplace_back(x0, nan, x1, y1);
+  rects.emplace_back(x0, y0, nan, y1);
+  rects.emplace_back(x0, y0, x1, nan);
+  rects.emplace_back(nan, nan, nan, nan);
+  rects.emplace_back(-inf, y0, x0 + 0.4 * w, inf);
+  rects.emplace_back(x0 + 0.6 * w, -inf, inf, y0 + 0.5 * h);
+  rects.emplace_back(inf, y0, inf, y1);
+  rects.emplace_back(-inf, -inf, -inf, y1);
+  return rects;
+}
+
+TEST(PopulationTest, SensorsInMatchesLinearScan) {
+  pp::GaussianBump hotspot;
+  hotspot.amplitude = 60.0;
+  hotspot.sigma = 0.8;
+  const auto walker = RandomWaypointMobility::Make(0.05, 2.0).MoveValue();
+  const auto walk = GaussianWalkMobility::Make(0.7).MoveValue();
+  const geom::Rect regions[] = {kRegion, geom::Rect(-3, 2, 5, 4.5)};
+  for (const geom::Rect& region : regions) {
+    for (const std::size_t m : {1u, 7u, 200u, 500u, 20000u}) {
+      for (const PlacementKind placement :
+           {PlacementKind::kUniform, PlacementKind::kIntensity}) {
+        SCOPED_TRACE(region.ToString() + " m=" + std::to_string(m) +
+                     (placement == PlacementKind::kUniform ? " uniform"
+                                                           : " hotspot"));
+        PopulationConfig config = BaseConfig(m);
+        config.region = region;
+        config.placement = placement;
+        if (placement == PlacementKind::kIntensity) {
+          hotspot.x0 = region.x_min() + 0.25 * region.Width();
+          hotspot.y0 = region.y_min() + 0.25 * region.Height();
+          config.placement_intensity =
+              pp::GaussianBumpIntensity::Make(0.5, {hotspot}).MoveValue();
+          config.mobility_prototype = walk.get();
+        } else {
+          config.mobility_prototype = walker.get();
+        }
+        Rng rng(m * 31 + static_cast<std::size_t>(placement));
+        auto population = SensorPopulation::Make(config, &rng);
+        ASSERT_TRUE(population.ok());
+        const std::vector<geom::Rect> rects = ProbeRects(region, m, &rng);
+        for (int round = 0; round < 3; ++round) {
+          for (const geom::Rect& rect : rects) {
+            const std::vector<std::size_t> want =
+                ScanSensorsIn(*population, rect);
+            ASSERT_EQ(population->SensorsIn(rect), want)
+                << "round " << round << " rect " << rect.ToString();
+            ASSERT_EQ(population->CountIn(rect), want.size())
+                << "round " << round << " rect " << rect.ToString();
+          }
+          for (int step = 0; step < 3; ++step) {
+            population->Advance(&rng, 1.0);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
