@@ -165,32 +165,50 @@ double Rng::Pareto(double scale, double alpha) {
 
 std::vector<std::uint64_t> Rng::SampleWithoutReplacement(std::uint64_t n,
                                                          std::uint64_t k) {
-  assert(k <= n);
-  // Floyd's algorithm: O(k) expected draws, O(k) memory.
-  std::unordered_set<std::uint64_t> chosen;
   std::vector<std::uint64_t> out;
-  out.reserve(k);
+  SampleWithoutReplacement(n, k, &out);
+  return out;
+}
+
+void Rng::SampleWithoutReplacement(std::uint64_t n, std::uint64_t k,
+                                   std::vector<std::uint64_t>* out) {
+  assert(k <= n);
+  // Floyd's algorithm: O(k) draws. The values taken so far are exactly
+  // `out`, so a small sample checks membership by scanning it, and only a
+  // large one keeps a hash set beside it.
+  constexpr std::uint64_t kScanLimit = 64;
+  const bool scan = k <= kScanLimit;
+  std::unordered_set<std::uint64_t> chosen;
+  out->clear();
+  out->reserve(k);
   for (std::uint64_t j = n - k; j < n; ++j) {
     const std::uint64_t t = UniformInt(j + 1);
-    if (chosen.insert(t).second) {
-      out.push_back(t);
-    } else {
+    // Every value taken before is below j, so j itself is always fresh.
+    const bool fresh = scan ? std::find(out->begin(), out->end(), t) ==
+                                  out->end()
+                            : chosen.insert(t).second;
+    if (!fresh && !scan) {
       chosen.insert(j);
-      out.push_back(j);
     }
+    out->push_back(fresh ? t : j);
   }
-  return out;
 }
 
 std::vector<std::uint64_t> Rng::SampleWithReplacement(std::uint64_t n,
                                                       std::uint64_t k) {
-  assert(n > 0);
   std::vector<std::uint64_t> out;
-  out.reserve(k);
-  for (std::uint64_t i = 0; i < k; ++i) {
-    out.push_back(UniformInt(n));
-  }
+  SampleWithReplacement(n, k, &out);
   return out;
+}
+
+void Rng::SampleWithReplacement(std::uint64_t n, std::uint64_t k,
+                                std::vector<std::uint64_t>* out) {
+  assert(n > 0);
+  out->clear();
+  out->reserve(k);
+  for (std::uint64_t i = 0; i < k; ++i) {
+    out->push_back(UniformInt(n));
+  }
 }
 
 Rng Rng::Fork() {

@@ -145,9 +145,18 @@ class Rng {
   std::vector<std::uint64_t> SampleWithoutReplacement(std::uint64_t n,
                                                       std::uint64_t k);
 
+  /// SampleWithoutReplacement into `out`, replacing its contents; same
+  /// draws, and no allocation once `out` has held k values.
+  void SampleWithoutReplacement(std::uint64_t n, std::uint64_t k,
+                                std::vector<std::uint64_t>* out);
+
   /// \brief Samples k indices from [0, n) with replacement.
   std::vector<std::uint64_t> SampleWithReplacement(std::uint64_t n,
                                                    std::uint64_t k);
+
+  /// SampleWithReplacement into `out`, replacing its contents.
+  void SampleWithReplacement(std::uint64_t n, std::uint64_t k,
+                             std::vector<std::uint64_t>* out);
 
   /// \brief Derives an independent child generator; used to give each
   /// component its own stream from a master seed.

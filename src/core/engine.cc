@@ -59,6 +59,9 @@ Result<std::unique_ptr<CraqrEngine>> CraqrEngine::Make(
   CRAQR_ASSIGN_OR_RETURN(
       geom::Grid grid,
       geom::Grid::Make(world.population().region(), config.grid_h));
+  // The handler asks for sensors one grid cell at a time; on the grid's own
+  // buckets each answer is one bucket of the index.
+  CRAQR_RETURN_NOT_OK(world.AlignTo(grid));
   // Effective governance knobs: the scalar budget wins over the struct's.
   runtime::MemoryGovernorConfig memory = config.memory;
   if (config.memory_budget_bytes > 0) {

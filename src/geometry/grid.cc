@@ -17,7 +17,9 @@ Grid::Grid(Rect region, std::uint32_t side)
     : region_(region),
       side_(side),
       cell_width_(region.Width() / static_cast<double>(side)),
-      cell_height_(region.Height() / static_cast<double>(side)) {}
+      cell_height_(region.Height() / static_cast<double>(side)),
+      inv_cell_width_(1.0 / cell_width_),
+      inv_cell_height_(1.0 / cell_height_) {}
 
 Result<Grid> Grid::Make(const Rect& region, std::uint32_t h) {
   if (region.IsEmpty()) {
@@ -63,16 +65,26 @@ Rect Grid::CellRect(const CellIndex& index) const {
 
 double Grid::CellArea() const { return cell_width_ * cell_height_; }
 
-std::optional<CellIndex> Grid::CellContaining(double x, double y) const {
-  if (!region_.Contains(x, y)) {
-    return std::nullopt;
+std::uint32_t Grid::ClampedColumn(double x) const {
+  if (!(x > region_.x_min())) {
+    return 0;
   }
-  auto q = static_cast<std::uint32_t>((x - region_.x_min()) / cell_width_);
-  auto r = static_cast<std::uint32_t>((y - region_.y_min()) / cell_height_);
-  // Guard against floating-point landing exactly on the far edge.
-  q = std::min(q, side_ - 1);
-  r = std::min(r, side_ - 1);
-  return CellIndex{q, r};
+  if (!(x < region_.x_max())) {
+    return side_ - 1;
+  }
+  return SideIndex(x, side_, region_.x_min(), region_.x_max(), cell_width_,
+                   inv_cell_width_);
+}
+
+std::uint32_t Grid::ClampedRow(double y) const {
+  if (!(y > region_.y_min())) {
+    return 0;
+  }
+  if (!(y < region_.y_max())) {
+    return side_ - 1;
+  }
+  return SideIndex(y, side_, region_.y_min(), region_.y_max(), cell_height_,
+                   inv_cell_height_);
 }
 
 void Grid::FillFlatCells(Span<const SpaceTimePoint> points, std::uint32_t* out,
@@ -80,6 +92,7 @@ void Grid::FillFlatCells(Span<const SpaceTimePoint> points, std::uint32_t* out,
   const double x0 = region_.x_min(), x1 = region_.x_max();
   const double y0 = region_.y_min(), y1 = region_.y_max();
   const double cw = cell_width_, ch = cell_height_;
+  const double icw = inv_cell_width_, ich = inv_cell_height_;
   const std::uint32_t side = side_;
   const std::size_t n = points.size();
   for (std::size_t i = 0; i < n; ++i) {
@@ -88,15 +101,11 @@ void Grid::FillFlatCells(Span<const SpaceTimePoint> points, std::uint32_t* out,
     // Same half-open test as Rect::Contains, combined without
     // short-circuiting so the row has no data-dependent branch.
     const bool valid = (x >= x0) & (x < x1) & (y >= y0) & (y < y1);
-    // The conversions below are defined only for in-region coordinates;
-    // out-of-region (or NaN) rows select 0.0 first, and their result is
-    // discarded by the final select.
-    const double fx = valid ? (x - x0) / cw : 0.0;
-    const double fy = valid ? (y - y0) / ch : 0.0;
-    std::uint32_t q = static_cast<std::uint32_t>(fx);
-    std::uint32_t r = static_cast<std::uint32_t>(fy);
-    q = q < side - 1 ? q : side - 1;  // far-edge clamp, as CellContaining
-    r = r < side - 1 ? r : side - 1;
+    // SideIndex is defined only for in-region coordinates; out-of-region
+    // (or NaN) rows look up the region's corner instead, and their result
+    // is discarded by the final select.
+    const std::uint32_t q = SideIndex(valid ? x : x0, side, x0, x1, cw, icw);
+    const std::uint32_t r = SideIndex(valid ? y : y0, side, y0, y1, ch, ich);
     out[i] = valid ? q * side + r : invalid_value;
   }
 }

@@ -82,7 +82,26 @@ class Grid {
   double CellArea() const;
 
   /// The cell containing (x, y); std::nullopt when outside the region.
-  std::optional<CellIndex> CellContaining(double x, double y) const;
+  /// Exact at seams: the result is the one cell c with
+  /// `CellRect(c).Contains(x, y)`.
+  std::optional<CellIndex> CellContaining(double x, double y) const {
+    if (!region_.Contains(x, y)) {
+      return std::nullopt;
+    }
+    return CellIndex{SideIndex(x, side_, region_.x_min(), region_.x_max(),
+                               cell_width_, inv_cell_width_),
+                     SideIndex(y, side_, region_.y_min(), region_.y_max(),
+                               cell_height_, inv_cell_height_)};
+  }
+
+  /// Column of `x`, clamped: the q whose CellRect x-range holds x when x
+  /// lies in the region's x-range; 0 before it (NaN too) and the last
+  /// column at or past its far edge. Monotone in x, so a rect's edge
+  /// columns bound the columns of every point it contains.
+  std::uint32_t ClampedColumn(double x) const;
+
+  /// Row of `y`, clamped; ClampedColumn along y.
+  std::uint32_t ClampedRow(double y) const;
 
   /// Flat row-major index of a cell: `q * CellsPerSide() + r`, in
   /// `[0, NumCells())`. The key the histogram routers' dense lookup
@@ -94,10 +113,9 @@ class Grid {
   /// \brief Column sweep of CellContaining: writes the flat cell index of
   /// every point to `out`, or `invalid_value` for points outside the
   /// region. Classification is bit-identical to CellContaining (same
-  /// half-open region test, same division, same far-edge clamp), and the
-  /// loop is branch-free — the select of `invalid_value` if-converts —
-  /// so the routers' per-row cell resolution auto-vectorizes. `out` must
-  /// hold `points.size()` entries.
+  /// half-open region test, same seam-exact lookup), and the loop body is
+  /// branch-free: the seam steps and the choice of `invalid_value` are
+  /// selects. `out` must hold `points.size()` entries.
   void FillFlatCells(Span<const SpaceTimePoint> points, std::uint32_t* out,
                      std::uint32_t invalid_value) const;
 
@@ -118,10 +136,35 @@ class Grid {
  private:
   Grid(Rect region, std::uint32_t side);
 
+  /// Index i of the cell [Seam(i), Seam(i + 1)) holding `v`, for v in
+  /// [lo, hi), where Seam(i) = lo + i * w below `side` and `hi` at it: the
+  /// half-open edges CellRect draws. `inv_w` is 1 / w. Scaling by it lands
+  /// on i except within a few ulps of a seam, where it can be one cell off
+  /// (on 10 km / 15 x 15, x = 4.666666666666666 is seam 7, but even the
+  /// exact division gives 6.999999999999999); one comparison with each of
+  /// the cell's seams steps it back. Only selects, so a column sweep stays
+  /// branch-free.
+  static std::uint32_t SideIndex(double v, std::uint32_t side, double lo,
+                                 double hi, double w, double inv_w) {
+    std::uint32_t i = static_cast<std::uint32_t>((v - lo) * inv_w);
+    i = i < side - 1 ? i : side - 1;  // v just below hi can scale to side
+    // i < side <= 65535 (h is 32-bit), so the signed conversion is exact
+    // and cheaper; di + 1 is i + 1 exactly.
+    const double di = static_cast<double>(static_cast<std::int32_t>(i));
+    const double near = lo + di * w;           // Seam(i), i < side
+    const double far = i + 1 == side ? hi : lo + (di + 1.0) * w;
+    i -= v < near ? 1u : 0u;
+    i += v >= far ? 1u : 0u;
+    return i;
+  }
+
   Rect region_;
   std::uint32_t side_ = 1;
   double cell_width_ = 0.0;
   double cell_height_ = 0.0;
+  /// 1 / cell_width_ and 1 / cell_height_: the cell lookups' first guess.
+  double inv_cell_width_ = 0.0;
+  double inv_cell_height_ = 0.0;
 };
 
 }  // namespace geom

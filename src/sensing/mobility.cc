@@ -25,10 +25,12 @@ geom::SpacePoint ReflectIntoRect(geom::SpacePoint p,
     if (offset > span) {
       offset = 2.0 * span - offset;
     }
-    // Keep strictly inside the half-open rect; lo < hi, so this is the
-    // largest double below hi.
+    // Keep strictly inside the half-open rect: a fold landing on hi (or
+    // rounding past it) takes the largest double below hi, lo < hi. That
+    // is min(reflected, nextafter(hi, lo)) bit for bit, NaN included, with
+    // the libm call left to the rare fold that needs it.
     const double reflected = lo + offset;
-    return std::min(reflected, std::nextafter(hi, lo));
+    return reflected >= hi ? std::nextafter(hi, lo) : reflected;
   };
   return geom::SpacePoint{
       reflect(p.x, region.x_min(), region.x_max()),

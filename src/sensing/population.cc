@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "common/macros.h"
+
 namespace craqr {
 namespace sensing {
 
@@ -38,44 +40,26 @@ Result<geom::SpacePoint> SamplePlacement(const PopulationConfig& config,
       "(intensity nearly zero everywhere?)");
 }
 
-/// Target sensors per index bucket.
+/// Target sensors per index bucket before the index is aligned to a grid.
 constexpr double kBucketOccupancy = 8.0;
 
-/// Bucket column (or row) of coordinate `v` on a side starting at `lo`
-/// with `scale` buckets per km, clamped to [0, side). Monotone in `v`, so
-/// a rect's edge buckets bound the buckets of every point it contains.
-/// Values before the side's start, -inf and NaN take bucket 0 and values
-/// past its end (+inf too) the last one, through comparisons: only a
-/// finite t in (0, side) reaches the cast.
-std::uint32_t BucketSlot(double v, double lo, double scale,
-                         std::uint32_t side) {
-  const double t = (v - lo) * scale;
-  if (!(t > 0.0)) {
-    return 0;
-  }
-  if (!(t < static_cast<double>(side))) {
-    return side - 1;
-  }
-  return static_cast<std::uint32_t>(t);
-}
-
-/// Sorts `v` ascending; every value is below `bound`. SensorsIn gathers
-/// its matches as about twenty ascending bucket runs interleaved at random,
-/// on which a comparison sort mispredicts most branches: std::sort took
-/// 2.7 us for 80 indices below 20 000, this LSD radix sort on 8-bit digits
-/// (two passes there) 0.9 us.
-void SortIndices(std::vector<std::size_t>* v, std::size_t bound) {
-  std::vector<std::size_t> scratch(v->size());
-  for (unsigned shift = 0; shift < 64 && ((bound - 1) >> shift) != 0;
+/// Sorts `v` ascending; every value is below `bound`. The general
+/// SensorsIn path gathers its matches as about twenty ascending bucket runs
+/// interleaved at random, on which a comparison sort mispredicts most
+/// branches: std::sort took 2.7 us for 80 indices below 20 000, this LSD
+/// radix sort on 8-bit digits (two passes there) 0.9 us.
+void SortIndices(std::vector<std::uint32_t>* v, std::size_t bound) {
+  std::vector<std::uint32_t> scratch(v->size());
+  for (unsigned shift = 0; shift < 32 && ((bound - 1) >> shift) != 0;
        shift += 8) {
     std::size_t start[257] = {};
-    for (const std::size_t x : *v) {
+    for (const std::uint32_t x : *v) {
       ++start[((x >> shift) & 0xFF) + 1];
     }
     for (std::size_t d = 1; d < 257; ++d) {
       start[d] += start[d - 1];
     }
-    for (const std::size_t x : *v) {
+    for (const std::uint32_t x : *v) {
       scratch[start[(x >> shift) & 0xFF]++] = x;
     }
     v->swap(scratch);
@@ -124,88 +108,132 @@ Result<SensorPopulation> SensorPopulation::Make(const PopulationConfig& config,
     }
     sensors.push_back(std::move(sensor));
   }
-  return SensorPopulation(config.region, std::move(sensors));
+  const auto side = static_cast<std::uint32_t>(std::max(
+      1.0, std::floor(std::sqrt(static_cast<double>(config.num_sensors) /
+                                kBucketOccupancy))));
+  CRAQR_ASSIGN_OR_RETURN(geom::Grid buckets,
+                         geom::Grid::Make(config.region, side * side));
+  return SensorPopulation(std::move(sensors), buckets);
 }
 
-SensorPopulation::SensorPopulation(geom::Rect region,
-                                   std::vector<Sensor> sensors)
-    : region_(region), sensors_(std::move(sensors)) {
-  side_ = static_cast<std::uint32_t>(std::max(
-      1.0, std::floor(std::sqrt(static_cast<double>(sensors_.size()) /
-                                kBucketOccupancy))));
-  x_scale_ = static_cast<double>(side_) / region_.Width();
-  y_scale_ = static_cast<double>(side_) / region_.Height();
-  bucket_start_.resize(static_cast<std::size_t>(side_) * side_ + 1);
-  bucket_items_.resize(sensors_.size());
+SensorPopulation::SensorPopulation(std::vector<Sensor> sensors,
+                                   const geom::Grid& buckets)
+    : sensors_(std::move(sensors)),
+      buckets_(buckets),
+      bucket_items_(sensors_.size()) {
   RebuildIndex();
 }
 
 void SensorPopulation::Advance(Rng* rng, double dt) {
+  bool moved = false;
   for (auto& sensor : sensors_) {
     if (sensor.mobility != nullptr) {
-      sensor.position = sensor.mobility->Step(rng, sensor.position, dt, region_);
+      sensor.position =
+          sensor.mobility->Step(rng, sensor.position, dt, region());
+      moved = true;
     }
   }
-  RebuildIndex();
+  if (moved) {  // a population of static sensors keeps its index
+    RebuildIndex();
+  }
 }
 
-std::uint32_t SensorPopulation::BucketOf(const geom::SpacePoint& p) const {
-  return BucketSlot(p.x, region_.x_min(), x_scale_, side_) * side_ +
-         BucketSlot(p.y, region_.y_min(), y_scale_, side_);
+Status SensorPopulation::AlignTo(const geom::Grid& grid) {
+  if (!(grid.region() == region())) {
+    return Status::InvalidArgument("cannot align the sensor index of " +
+                                   region().ToString() + " to a grid over " +
+                                   grid.region().ToString());
+  }
+  buckets_ = grid;
+  RebuildIndex();
+  return Status::OK();
 }
 
 void SensorPopulation::RebuildIndex() {
-  const std::size_t buckets = bucket_start_.size() - 1;
-  std::fill(bucket_start_.begin(), bucket_start_.end(), 0u);
-  for (const Sensor& sensor : sensors_) {
-    ++bucket_start_[BucketOf(sensor.position)];
+  // One bucket per cell, then bucket NumCells() for positions outside the
+  // region, which no cell's CellRect contains.
+  const std::uint32_t outside = buckets_.NumCells();
+  const auto bucket_of = [this, outside](std::uint32_t i) {
+    const geom::SpacePoint& p = sensors_[i].position;
+    const auto cell = buckets_.CellContaining(p.x, p.y);
+    return cell.has_value() ? buckets_.FlatIndex(*cell) : outside;
+  };
+  bucket_start_.assign(static_cast<std::size_t>(outside) + 2, 0u);
+  const auto m = static_cast<std::uint32_t>(sensors_.size());
+  for (std::uint32_t i = 0; i < m; ++i) {
+    ++bucket_start_[bucket_of(i)];
   }
   // Inclusive prefix sums leave bucket_start_[b] at the end of bucket b;
   // placing indices from the highest down then walks each back to its
-  // bucket's start and leaves every bucket ascending.
-  for (std::size_t b = 1; b < buckets; ++b) {
+  // bucket's start and leaves every bucket ascending. Each bucket is looked
+  // up again rather than kept from the first pass: m keys would cost 4
+  // bytes a sensor to save about 5 ns a sensor.
+  for (std::uint32_t b = 1; b <= outside; ++b) {
     bucket_start_[b] += bucket_start_[b - 1];
   }
-  const auto m = static_cast<std::uint32_t>(sensors_.size());
-  bucket_start_[buckets] = m;
+  bucket_start_[outside + 1] = m;
   for (std::uint32_t i = m; i-- > 0;) {
-    bucket_items_[--bucket_start_[BucketOf(sensors_[i].position)]] = i;
+    bucket_items_[--bucket_start_[bucket_of(i)]] = i;
   }
+}
+
+std::uint32_t SensorPopulation::BucketMatching(const geom::Rect& rect) const {
+  const geom::CellIndex cell{buckets_.ClampedColumn(rect.x_min()),
+                             buckets_.ClampedRow(rect.y_min())};
+  return rect == buckets_.CellRect(cell) ? buckets_.FlatIndex(cell)
+                                         : buckets_.NumCells();
 }
 
 template <typename Visit>
 void SensorPopulation::ForEachIn(const geom::Rect& rect, Visit visit) const {
-  const std::uint32_t x_lo =
-      BucketSlot(rect.x_min(), region_.x_min(), x_scale_, side_);
-  const std::uint32_t x_hi =
-      BucketSlot(rect.x_max(), region_.x_min(), x_scale_, side_);
-  const std::uint32_t y_lo =
-      BucketSlot(rect.y_min(), region_.y_min(), y_scale_, side_);
-  const std::uint32_t y_hi =
-      BucketSlot(rect.y_max(), region_.y_min(), y_scale_, side_);
-  for (std::uint32_t column = x_lo; column <= x_hi; ++column) {
-    const std::uint32_t first = bucket_start_[column * side_ + y_lo];
-    const std::uint32_t last = bucket_start_[column * side_ + y_hi + 1];
+  const auto visit_contained = [&](std::uint32_t first, std::uint32_t last) {
     for (std::uint32_t k = first; k < last; ++k) {
       const std::uint32_t i = bucket_items_[k];
       if (rect.Contains(sensors_[i].position)) {
         visit(i);
       }
     }
+  };
+  // Clamped lookups are monotone, so the edge cells of `rect` bound the
+  // cells of every in-region point it contains.
+  const std::uint32_t x_lo = buckets_.ClampedColumn(rect.x_min());
+  const std::uint32_t x_hi = buckets_.ClampedColumn(rect.x_max());
+  const std::uint32_t y_lo = buckets_.ClampedRow(rect.y_min());
+  const std::uint32_t y_hi = buckets_.ClampedRow(rect.y_max());
+  for (std::uint32_t q = x_lo; q <= x_hi; ++q) {
+    visit_contained(bucket_start_[buckets_.FlatIndex({q, y_lo})],
+                    bucket_start_[buckets_.FlatIndex({q, y_hi}) + 1]);
   }
+  const std::uint32_t outside = buckets_.NumCells();
+  visit_contained(bucket_start_[outside], bucket_start_[outside + 1]);
+}
+
+Span<const std::uint32_t> SensorPopulation::SensorsIn(
+    const geom::Rect& rect, std::vector<std::uint32_t>* scratch) const {
+  const std::uint32_t b = BucketMatching(rect);
+  if (b != buckets_.NumCells()) {
+    return Bucket(b);  // exactly the sensors CellRect(b) contains
+  }
+  scratch->clear();
+  ForEachIn(rect, [scratch](std::uint32_t i) { scratch->push_back(i); });
+  // Buckets are visited column by column; ascending order is what makes
+  // sampling from the list pick what the linear scan's list would.
+  SortIndices(scratch, sensors_.size());
+  return {scratch->data(), scratch->size()};
 }
 
 std::vector<std::size_t> SensorPopulation::SensorsIn(
     const geom::Rect& rect) const {
-  std::vector<std::size_t> indices;
-  ForEachIn(rect, [&indices](std::uint32_t i) { indices.push_back(i); });
-  // Buckets are visited column by column; ascending order is what makes
-  // sampling from the list pick what the linear scan's list would.
-  SortIndices(&indices, sensors_.size());
-  return indices;
+  std::vector<std::uint32_t> scratch;
+  const Span<const std::uint32_t> indices = SensorsIn(rect, &scratch);
+  return std::vector<std::size_t>(indices.begin(), indices.end());
 }
 
 std::size_t SensorPopulation::CountIn(const geom::Rect& rect) const {
+  const std::uint32_t b = BucketMatching(rect);
+  if (b != buckets_.NumCells()) {
+    return Bucket(b).size();
+  }
   std::size_t count = 0;
   ForEachIn(rect, [&count](std::uint32_t) { ++count; });
   return count;

@@ -6,6 +6,9 @@
 
 #include "common/result.h"
 #include "common/rng.h"
+#include "common/span.h"
+#include "common/status.h"
+#include "geometry/grid.h"
 #include "geometry/point.h"
 #include "geometry/rect.h"
 #include "pointprocess/intensity.h"
@@ -67,50 +70,70 @@ class SensorPopulation {
   std::size_t size() const { return sensors_.size(); }
 
   /// The region R.
-  const geom::Rect& region() const { return region_; }
+  const geom::Rect& region() const { return buckets_.region(); }
 
   /// Sensor accessor; index < size().
   const Sensor& sensor(std::size_t index) const { return sensors_[index]; }
 
   /// Moves every sensor forward by `dt` minutes and rebuilds the sensor
-  /// index.
+  /// index (unless no sensor has a mobility model).
   void Advance(Rng* rng, double dt);
+
+  /// \brief Re-buckets the sensor index on the cells of `grid`, which must
+  /// cover exactly this population's region (InvalidArgument otherwise).
+  ///
+  /// Afterwards a SensorsIn/CountIn rect equal to one of the grid's
+  /// CellRects is answered straight from that cell's bucket. The engine
+  /// aligns its world to its own grid, so every per-cell request the
+  /// handler makes takes that path.
+  Status AlignTo(const geom::Grid& grid);
 
   /// Indices of sensors currently inside `rect`, ascending: exactly the
   /// sensors a scan of every position with `rect.Contains` would find, in
-  /// the order it would find them. Visits only the index buckets that
-  /// `rect` covers.
+  /// the order it would find them. When `rect` is exactly one bucket's
+  /// CellRect the view is that bucket, with no copy; otherwise the index
+  /// visits the buckets `rect` covers and fills `scratch`. The view lives
+  /// until the next Advance, AlignTo or SensorsIn call on `scratch`.
+  Span<const std::uint32_t> SensorsIn(const geom::Rect& rect,
+                                      std::vector<std::uint32_t>* scratch) const;
+
+  /// SensorsIn into a fresh vector.
   std::vector<std::size_t> SensorsIn(const geom::Rect& rect) const;
 
   /// Count of sensors currently inside `rect`; SensorsIn(rect).size().
   std::size_t CountIn(const geom::Rect& rect) const;
 
  private:
-  SensorPopulation(geom::Rect region, std::vector<Sensor> sensors);
+  SensorPopulation(std::vector<Sensor> sensors, const geom::Grid& buckets);
 
-  /// Index bucket of a position.
-  std::uint32_t BucketOf(const geom::SpacePoint& p) const;
-
-  /// Counting-sorts the sensor indices into the bucket grid by current
+  /// Counting-sorts the sensor indices into the buckets by current
   /// position. O(m); reuses the index storage.
   void RebuildIndex();
+
+  /// The bucket whose CellRect equals `rect`, or NumCells() when none does.
+  std::uint32_t BucketMatching(const geom::Rect& rect) const;
+
+  /// Members of bucket b, ascending.
+  Span<const std::uint32_t> Bucket(std::uint32_t b) const {
+    return {bucket_items_.data() + bucket_start_[b],
+            bucket_start_[b + 1] - bucket_start_[b]};
+  }
 
   /// Calls `visit(i)` for every sensor i inside `rect`, bucket by bucket.
   template <typename Visit>
   void ForEachIn(const geom::Rect& rect, Visit visit) const;
 
-  geom::Rect region_;
   std::vector<Sensor> sensors_;
 
-  // Sensor index: a uniform grid of side_ x side_ buckets over region_
-  // (about eight sensors a bucket). Positions change only in Make and
-  // Advance, and both rebuild it. Bucket b = column * side_ + row holds
-  // sensor indices bucket_items_[bucket_start_[b], bucket_start_[b + 1]),
-  // ascending, so a column's run of rows is one contiguous range.
-  std::uint32_t side_ = 1;
-  /// Buckets per km along x and y.
-  double x_scale_ = 0.0;
-  double y_scale_ = 0.0;
+  // Sensor index: one bucket per cell of `buckets_`, a grid over R of
+  // about eight sensors a cell until AlignTo puts it on the engine's grid,
+  // plus one last bucket for positions outside R. A sensor's bucket is
+  // exactly the cell whose CellRect contains it (Grid::CellContaining is
+  // seam-exact). Positions change only in Make and Advance, and both
+  // rebuild it. Bucket b = FlatIndex(q, r) holds sensor indices
+  // bucket_items_[bucket_start_[b], bucket_start_[b + 1]), ascending, so a
+  // column's run of rows is one contiguous range.
+  geom::Grid buckets_;
   std::vector<std::uint32_t> bucket_start_;
   std::vector<std::uint32_t> bucket_items_;
 };

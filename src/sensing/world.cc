@@ -26,17 +26,10 @@ Result<ops::AttributeId> CrowdWorld::RegisterAttribute(
                                    "' is already registered");
     }
   }
-  // Validate the behaviour once, at registration.
   CRAQR_ASSIGN_OR_RETURN(ResponseModel model, ResponseModel::Make(behavior));
-  (void)model;
-
-  AttributeSpec spec;
-  spec.id = static_cast<ops::AttributeId>(attributes_.size());
-  spec.name = std::move(name);
-  spec.human_sensed = human_sensed;
-  spec.field = std::move(field);
-  spec.behavior = behavior;
-  attributes_.push_back(std::move(spec));
+  attributes_.push_back(
+      AttributeSpec{static_cast<ops::AttributeId>(attributes_.size()),
+                    std::move(name), human_sensed, std::move(field), model});
   return attributes_.back().id;
 }
 
@@ -70,38 +63,35 @@ Result<std::vector<ops::Tuple>> CrowdWorld::SendRequests(
                             " is not registered");
   }
   const AttributeSpec& spec = attributes_[request.attribute];
-  CRAQR_ASSIGN_OR_RETURN(ResponseModel model,
-                         ResponseModel::Make(spec.behavior));
 
   std::vector<ops::Tuple> responses;
   if (request.count == 0) {
     return responses;
   }
-  const std::vector<std::size_t> candidates =
-      population_.SensorsIn(request.region);
+  const Span<const std::uint32_t> candidates =
+      population_.SensorsIn(request.region, &candidates_);
   if (candidates.empty()) {
     return responses;  // nobody around to ask
   }
 
   // Paper Section IV-A: "Mobile sensors are sampled with or without
   // replacement, depending on the number of mobile sensors available."
-  std::vector<std::uint64_t> picks;
   if (request.count <= candidates.size()) {
-    picks = rng_.SampleWithoutReplacement(candidates.size(), request.count);
+    rng_.SampleWithoutReplacement(candidates.size(), request.count, &picks_);
   } else {
-    picks = rng_.SampleWithReplacement(candidates.size(), request.count);
+    rng_.SampleWithReplacement(candidates.size(), request.count, &picks_);
   }
-  total_requests_sent_ += picks.size();
+  total_requests_sent_ += picks_.size();
 
-  responses.reserve(picks.size());
-  for (std::uint64_t pick : picks) {
+  responses.reserve(picks_.size());
+  for (const std::uint64_t pick : picks_) {
     const Sensor& sensor =
         population_.sensor(candidates[static_cast<std::size_t>(pick)]);
-    if (!model.WillRespond(&rng_, request.incentive,
-                           sensor.responsiveness_bias)) {
+    if (!spec.model.WillRespond(&rng_, request.incentive,
+                                sensor.responsiveness_bias)) {
       continue;  // declined / ignored the request
     }
-    const double delay = model.ResponseDelay(&rng_);
+    const double delay = spec.model.ResponseDelay(&rng_);
     const double stagger = request.response_spread > 0.0
                                ? rng_.Uniform(0.0, request.response_spread)
                                : 0.0;

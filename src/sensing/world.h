@@ -35,7 +35,8 @@ struct AttributeSpec {
   /// near-certain.
   bool human_sensed = false;
   FieldPtr field;
-  ResponseBehavior behavior;
+  /// The attribute's response behaviour, validated once at registration.
+  ResponseModel model;
 };
 
 /// \brief One acquisition request from the request/response handler: ask
@@ -103,6 +104,11 @@ class CrowdWorld final : public MobileSensorNetwork {
   /// Moves the crowd forward by `dt` minutes.
   void Advance(double dt) { population_.Advance(&rng_, dt); }
 
+  /// Aligns the population's sensor index to `grid` (see
+  /// SensorPopulation::AlignTo), so a request for one of its cells reads
+  /// the cell's sensors directly.
+  Status AlignTo(const geom::Grid& grid) { return population_.AlignTo(grid); }
+
   /// The sensor population.
   const SensorPopulation& population() const { return population_; }
 
@@ -119,6 +125,10 @@ class CrowdWorld final : public MobileSensorNetwork {
   SensorPopulation population_;
   Rng rng_;
   std::vector<AttributeSpec> attributes_;
+  /// Per-request scratch, reused: the candidate list when a request's
+  /// region is not one index bucket, and the sampled positions in it.
+  std::vector<std::uint32_t> candidates_;
+  std::vector<std::uint64_t> picks_;
   std::uint64_t next_tuple_id_ = 0;
   std::uint64_t total_requests_sent_ = 0;
   std::uint64_t total_responses_ = 0;

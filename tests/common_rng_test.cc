@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -176,6 +178,39 @@ TEST(RngTest, SampleWithReplacementSizeAndRange) {
   EXPECT_EQ(sample.size(), 100u);
   for (const auto v : sample) {
     EXPECT_LT(v, 5u);
+  }
+}
+
+TEST(RngTest, SamplingIntoScratchMatchesFloydsAlgorithm) {
+  // Floyd's algorithm with a hash set, as the sampler was first written;
+  // the scratch overloads must draw and return exactly the same.
+  const auto floyd = [](Rng* rng, std::uint64_t n, std::uint64_t k) {
+    std::set<std::uint64_t> chosen;
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t j = n - k; j < n; ++j) {
+      const std::uint64_t t = rng->UniformInt(j + 1);
+      out.push_back(chosen.insert(t).second ? t : j);
+      chosen.insert(out.back());
+    }
+    return out;
+  };
+  std::vector<std::uint64_t> scratch = {7, 7, 7};
+  for (const std::uint64_t n : {1u, 10u, 64u, 65u, 80u, 1000u}) {
+    for (const std::uint64_t k : {0u, 1u, 9u, 64u, 65u, 80u, 1000u}) {
+      if (k > n) {
+        continue;
+      }
+      SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
+      Rng want_rng(n * 1009 + k), got_rng(n * 1009 + k), vec_rng(n * 1009 + k);
+      const std::vector<std::uint64_t> want = floyd(&want_rng, n, k);
+      got_rng.SampleWithoutReplacement(n, k, &scratch);
+      EXPECT_EQ(scratch, want);
+      EXPECT_EQ(vec_rng.SampleWithoutReplacement(n, k), want);
+      EXPECT_EQ(got_rng.NextU64(), want_rng.NextU64());
+      Rng with_rng(n + k), with_vec_rng(n + k);
+      with_rng.SampleWithReplacement(n, k + 3, &scratch);
+      EXPECT_EQ(scratch, with_vec_rng.SampleWithReplacement(n, k + 3));
+    }
   }
 }
 

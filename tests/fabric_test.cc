@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/math.h"
 #include "common/rng.h"
@@ -79,6 +80,37 @@ TEST(FabricatorTest, InsertsOnGridsWithInexactCellWidths) {
     }
   }
   EXPECT_TRUE(fabricator->ValidateInvariants().ok());
+}
+
+TEST(FabricatorTest, RoutesATupleOnASeamToTheCellWhoseRectHoldsIt) {
+  // 15 x 15 cells over 10 km: x = 4.666666666666666 is seam 7, the near
+  // edge of column 7, but (x - 0) / (2/3) truncates to column 6. Such a
+  // tuple went to column 6's chains: delivered to a query ending at the
+  // seam, missed by the one starting there.
+  const auto grid =
+      geom::Grid::Make(geom::Rect(0, 0, 10, 10), 225).MoveValue();
+  const double seam = grid.CellRect({7, 0}).x_min();
+  ASSERT_EQ(seam, 4.666666666666666);
+  ASSERT_EQ(grid.CellRect({6, 0}).x_max(), seam);
+  for (const bool batched : {false, true}) {
+    for (const std::uint32_t column : {6u, 7u}) {
+      SCOPED_TRACE(std::string(batched ? "ProcessBatch" : "ProcessTuple") +
+                   ", query on column " + std::to_string(column));
+      auto fabricator =
+          StreamFabricator::Make(grid, FabricConfig()).MoveValue();
+      ASSERT_TRUE(
+          fabricator->InsertQuery(kRain, grid.CellRect({column, 0}), 1.0)
+              .ok());
+      const ops::Tuple tuple = TupleAt(0.0, seam, 0.3);
+      if (batched) {
+        ASSERT_TRUE(fabricator->ProcessBatch({tuple}).ok());
+      } else {
+        ASSERT_TRUE(fabricator->ProcessTuple(tuple).ok());
+      }
+      EXPECT_EQ(fabricator->tuples_routed(), column == 7 ? 1u : 0u);
+      EXPECT_EQ(fabricator->tuples_unrouted(), column == 7 ? 0u : 1u);
+    }
+  }
 }
 
 TEST(FabricatorTest, SingleCellQueryMaterializesOneCell) {

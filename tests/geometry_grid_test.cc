@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iomanip>
+#include <limits>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "geometry/grid.h"
 
@@ -144,6 +148,92 @@ TEST(GridTest, ValidateQueryRegionEnforcesMinimumArea) {
   EXPECT_EQ(grid.ValidateQueryRegion(Rect(0, 0, 0.5, 0.5)).code(),
             StatusCode::kInvalidArgument);
   EXPECT_FALSE(grid.ValidateQueryRegion(Rect()).ok());
+}
+
+/// Every seam of a side [lo, hi) cut at `edges`, and one ulp either side.
+std::vector<double> SeamProbes(const std::vector<double>& edges) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> probes;
+  for (const double seam : edges) {
+    probes.push_back(std::nextafter(seam, -inf));
+    probes.push_back(seam);
+    probes.push_back(std::nextafter(seam, inf));
+  }
+  return probes;
+}
+
+TEST(GridTest, LookupIsExactAtSeams) {
+  // 2/3 km and 8/9 km cells are inexact in binary; a division lookup put
+  // x = 4.666666666666666, seam 7 of the 15 x 15 grid, in column 6.
+  const std::pair<Rect, std::uint32_t> grids[] = {
+      {Rect(0, 0, 10, 10), 15 * 15},
+      {Rect(0, 0, 8, 8), 16 * 16},
+      {Rect(0, 0, 10, 10), 9 * 9},
+      {Rect(-3, 2, 5, 4.5), 7 * 7}};
+  for (const auto& [region, h] : grids) {
+    SCOPED_TRACE(region.ToString() + " h=" + std::to_string(h));
+    const Grid grid = Grid::Make(region, h).MoveValue();
+    const std::uint32_t side = grid.CellsPerSide();
+    std::vector<double> x_edges, y_edges;
+    for (std::uint32_t i = 0; i < side; ++i) {
+      x_edges.push_back(grid.CellRect({i, 0}).x_min());
+      y_edges.push_back(grid.CellRect({0, i}).y_min());
+    }
+    x_edges.push_back(region.x_max());
+    y_edges.push_back(region.y_max());
+    const std::vector<double> xs = SeamProbes(x_edges);
+    const std::vector<double> ys = SeamProbes(y_edges);
+    std::vector<SpaceTimePoint> points;
+    std::vector<std::uint32_t> want_flat;
+    for (const double x : xs) {
+      for (const double y : ys) {
+        // The one cell whose rect holds (x, y), by scanning them all.
+        std::optional<CellIndex> want;
+        for (std::uint32_t q = 0; q < side; ++q) {
+          for (std::uint32_t r = 0; r < side; ++r) {
+            if (grid.CellRect({q, r}).Contains(x, y)) {
+              ASSERT_FALSE(want.has_value()) << "cells overlap";
+              want = CellIndex{q, r};
+            }
+          }
+        }
+        const auto got = grid.CellContaining(x, y);
+        ASSERT_EQ(got.has_value(), want.has_value()) << x << "," << y;
+        if (want.has_value()) {
+          ASSERT_EQ(*got, *want) << std::setprecision(17) << x << "," << y;
+          ASSERT_EQ(grid.ClampedColumn(x), want->q) << std::setprecision(17)
+                                                    << x;
+          ASSERT_EQ(grid.ClampedRow(y), want->r) << std::setprecision(17)
+                                                 << y;
+        }
+        points.push_back(SpaceTimePoint{0.0, x, y});
+        want_flat.push_back(want.has_value() ? grid.FlatIndex(*want)
+                                             : grid.NumCells());
+      }
+    }
+    std::vector<std::uint32_t> flat(points.size());
+    grid.FillFlatCells({points.data(), points.size()}, flat.data(),
+                       grid.NumCells());
+    EXPECT_EQ(flat, want_flat);
+  }
+}
+
+TEST(GridTest, ClampedLookupsClampOutsideTheRegion) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Grid grid = Grid::Make(Rect(-3, 2, 5, 4.5), 16).MoveValue();
+  for (const double low : {-inf, -1e300, -3.5, -3.0, nan}) {
+    EXPECT_EQ(grid.ClampedColumn(low), 0u) << low;
+  }
+  for (const double high : {5.0, 5.5, 1e300, inf}) {
+    EXPECT_EQ(grid.ClampedColumn(high), 3u) << high;
+  }
+  for (const double low : {-inf, 0.0, 2.0, nan}) {
+    EXPECT_EQ(grid.ClampedRow(low), 0u) << low;
+  }
+  for (const double high : {4.5, 7.0, inf}) {
+    EXPECT_EQ(grid.ClampedRow(high), 3u) << high;
+  }
 }
 
 /// Parameterized sweep over grid granularities.

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -259,6 +262,144 @@ TEST(PopulationTest, SensorsInMatchesLinearScan) {
       }
     }
   }
+}
+
+/// Puts sensors where a test wants them: every other Step returns the next
+/// spot of a list shared by all clones, the rest a uniform point in the
+/// region.
+class ScriptedMobility final : public MobilityModel {
+ public:
+  explicit ScriptedMobility(std::vector<geom::SpacePoint> spots)
+      : spots_(std::make_shared<const std::vector<geom::SpacePoint>>(
+            std::move(spots))),
+        calls_(std::make_shared<std::size_t>(0)) {}
+
+  geom::SpacePoint Step(Rng* rng, const geom::SpacePoint&, double,
+                        const geom::Rect& region) override {
+    const std::size_t call = (*calls_)++;
+    if (call % 2 == 1) {
+      return {rng->Uniform(region.x_min(), region.x_max()),
+              rng->Uniform(region.y_min(), region.y_max())};
+    }
+    return (*spots_)[(call / 2) % spots_->size()];
+  }
+  std::unique_ptr<MobilityModel> Clone() const override {
+    return std::make_unique<ScriptedMobility>(*this);
+  }
+  std::string ToString() const override { return "Scripted"; }
+
+ private:
+  std::shared_ptr<const std::vector<geom::SpacePoint>> spots_;
+  std::shared_ptr<std::size_t> calls_;
+};
+
+/// Every seam of `grid` and one ulp either side, the region's edges
+/// included (so some spots lie just outside it), crossed with each other.
+std::vector<geom::SpacePoint> SeamSpots(const geom::Grid& grid) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto probes = [inf](std::vector<double> seams) {
+    std::vector<double> v;
+    for (const double seam : seams) {
+      v.push_back(std::nextafter(seam, -inf));
+      v.push_back(seam);
+      v.push_back(std::nextafter(seam, inf));
+    }
+    return v;
+  };
+  std::vector<double> x_seams, y_seams;
+  for (std::uint32_t i = 0; i < grid.CellsPerSide(); ++i) {
+    x_seams.push_back(grid.CellRect({i, 0}).x_min());
+    y_seams.push_back(grid.CellRect({0, i}).y_min());
+  }
+  x_seams.push_back(grid.region().x_max());
+  y_seams.push_back(grid.region().y_max());
+  std::vector<geom::SpacePoint> spots;
+  for (const double x : probes(x_seams)) {
+    for (const double y : probes(y_seams)) {
+      spots.push_back({x, y});
+    }
+  }
+  return spots;
+}
+
+TEST(PopulationTest, AlignedSensorsInMatchesLinearScan) {
+  const std::pair<geom::Rect, std::uint32_t> grids[] = {
+      {geom::Rect(0, 0, 8, 8), 16 * 16},
+      {geom::Rect(0, 0, 10, 10), 15 * 15},
+      {geom::Rect(-3, 2, 5, 4.5), 9 * 9}};
+  for (const auto& [region, h] : grids) {
+    const geom::Grid grid = geom::Grid::Make(region, h).MoveValue();
+    const ScriptedMobility scripted(SeamSpots(grid));
+    for (const std::size_t m : {500u, 5000u}) {
+      for (const bool aligned : {true, false}) {
+        SCOPED_TRACE(region.ToString() + " h=" + std::to_string(h) +
+                     " m=" + std::to_string(m) +
+                     (aligned ? " aligned" : " unaligned"));
+        PopulationConfig config = BaseConfig(m);
+        config.region = region;
+        config.mobility_prototype = &scripted;
+        Rng rng(m + h);
+        auto population = SensorPopulation::Make(config, &rng);
+        ASSERT_TRUE(population.ok());
+        if (aligned) {
+          ASSERT_TRUE(population->AlignTo(grid).ok());
+        }
+        std::vector<geom::Rect> cells;
+        for (std::uint32_t q = 0; q < grid.CellsPerSide(); ++q) {
+          for (std::uint32_t r = 0; r < grid.CellsPerSide(); ++r) {
+            cells.push_back(grid.CellRect({q, r}));
+          }
+        }
+        const std::vector<geom::Rect> rects = ProbeRects(region, m, &rng);
+        const std::uint32_t kUntouched = 0xFFFFFFFFu;
+        for (int round = 0; round < 4; ++round) {
+          for (const geom::Rect& rect : cells) {
+            const std::vector<std::size_t> want =
+                ScanSensorsIn(*population, rect);
+            // Aligned, a cell's sensors are its bucket: the scratch list
+            // stays as it was.
+            std::vector<std::uint32_t> scratch = {kUntouched};
+            const Span<const std::uint32_t> got =
+                population->SensorsIn(rect, &scratch);
+            ASSERT_EQ(std::vector<std::size_t>(got.begin(), got.end()), want)
+                << "round " << round << " cell " << rect.ToString();
+            if (aligned) {
+              ASSERT_EQ(scratch, std::vector<std::uint32_t>{kUntouched});
+            }
+            ASSERT_EQ(population->CountIn(rect), want.size());
+          }
+          for (const geom::Rect& rect : rects) {
+            const std::vector<std::size_t> want =
+                ScanSensorsIn(*population, rect);
+            ASSERT_EQ(population->SensorsIn(rect), want)
+                << "round " << round << " rect " << rect.ToString();
+            ASSERT_EQ(population->CountIn(rect), want.size())
+                << "round " << round << " rect " << rect.ToString();
+          }
+          for (int step = 0; step < round + 1; ++step) {
+            population->Advance(&rng, 1.0);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PopulationTest, AlignToRequiresTheSameRegion) {
+  Rng rng(4);
+  auto population = SensorPopulation::Make(BaseConfig(100), &rng);
+  ASSERT_TRUE(population.ok());
+  for (const geom::Rect& other :
+       {geom::Rect(0, 0, 10, 10.5), geom::Rect(-1, 0, 10, 10),
+        geom::Rect(0, 0, 5, 5)}) {
+    const geom::Grid grid = geom::Grid::Make(other, 16).MoveValue();
+    EXPECT_EQ(population->AlignTo(grid).code(), StatusCode::kInvalidArgument)
+        << other.ToString();
+  }
+  const geom::Grid same = geom::Grid::Make(kRegion, 25).MoveValue();
+  EXPECT_TRUE(population->AlignTo(same).ok());
+  EXPECT_EQ(population->CountIn(same.CellRect({2, 3})),
+            ScanSensorsIn(*population, same.CellRect({2, 3})).size());
 }
 
 }  // namespace
