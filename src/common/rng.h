@@ -141,20 +141,14 @@ class Rng {
   double Pareto(double scale, double alpha);
 
   /// \brief Samples k distinct indices from [0, n) without replacement
-  /// (Floyd's algorithm). Requires k <= n.
-  std::vector<std::uint64_t> SampleWithoutReplacement(std::uint64_t n,
-                                                      std::uint64_t k);
-
-  /// SampleWithoutReplacement into `out`, replacing its contents; same
-  /// draws, and no allocation once `out` has held k values.
+  /// (Floyd's algorithm) into `out`, replacing its contents. Requires
+  /// k <= n. Membership is checked by scanning `out`, so a call makes
+  /// O(k^2) comparisons and no allocation once `out` has held k values.
   void SampleWithoutReplacement(std::uint64_t n, std::uint64_t k,
                                 std::vector<std::uint64_t>* out);
 
-  /// \brief Samples k indices from [0, n) with replacement.
-  std::vector<std::uint64_t> SampleWithReplacement(std::uint64_t n,
-                                                   std::uint64_t k);
-
-  /// SampleWithReplacement into `out`, replacing its contents.
+  /// \brief Samples k indices from [0, n) with replacement into `out`,
+  /// replacing its contents. Requires n > 0.
   void SampleWithReplacement(std::uint64_t n, std::uint64_t k,
                              std::vector<std::uint64_t>* out);
 

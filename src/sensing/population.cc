@@ -125,17 +125,13 @@ SensorPopulation::SensorPopulation(std::vector<Sensor> sensors,
 }
 
 void SensorPopulation::Advance(Rng* rng, double dt) {
-  bool moved = false;
   for (auto& sensor : sensors_) {
     if (sensor.mobility != nullptr) {
       sensor.position =
           sensor.mobility->Step(rng, sensor.position, dt, region());
-      moved = true;
     }
   }
-  if (moved) {  // a population of static sensors keeps its index
-    RebuildIndex();
-  }
+  RebuildIndex();
 }
 
 Status SensorPopulation::AlignTo(const geom::Grid& grid) {
@@ -220,13 +216,6 @@ Span<const std::uint32_t> SensorPopulation::SensorsIn(
   // sampling from the list pick what the linear scan's list would.
   SortIndices(scratch, sensors_.size());
   return {scratch->data(), scratch->size()};
-}
-
-std::vector<std::size_t> SensorPopulation::SensorsIn(
-    const geom::Rect& rect) const {
-  std::vector<std::uint32_t> scratch;
-  const Span<const std::uint32_t> indices = SensorsIn(rect, &scratch);
-  return std::vector<std::size_t>(indices.begin(), indices.end());
 }
 
 std::size_t SensorPopulation::CountIn(const geom::Rect& rect) const {

@@ -76,7 +76,7 @@ class SensorPopulation {
   const Sensor& sensor(std::size_t index) const { return sensors_[index]; }
 
   /// Moves every sensor forward by `dt` minutes and rebuilds the sensor
-  /// index (unless no sensor has a mobility model).
+  /// index.
   void Advance(Rng* rng, double dt);
 
   /// \brief Re-buckets the sensor index on the cells of `grid`, which must
@@ -97,10 +97,7 @@ class SensorPopulation {
   Span<const std::uint32_t> SensorsIn(const geom::Rect& rect,
                                       std::vector<std::uint32_t>* scratch) const;
 
-  /// SensorsIn into a fresh vector.
-  std::vector<std::size_t> SensorsIn(const geom::Rect& rect) const;
-
-  /// Count of sensors currently inside `rect`; SensorsIn(rect).size().
+  /// Count of sensors currently inside `rect`: the size of SensorsIn.
   std::size_t CountIn(const geom::Rect& rect) const;
 
  private:

@@ -124,7 +124,9 @@ TEST(PopulationTest, SensorsInFindsOnlyContained) {
   auto population = SensorPopulation::Make(BaseConfig(200), &rng);
   ASSERT_TRUE(population.ok());
   const geom::Rect box(0, 0, 5, 5);
-  const auto inside = population->SensorsIn(box);
+  std::vector<std::uint32_t> scratch;
+  const Span<const std::uint32_t> inside =
+      population->SensorsIn(box, &scratch);
   EXPECT_EQ(inside.size(), population->CountIn(box));
   for (const auto index : inside) {
     EXPECT_TRUE(box.Contains(population->sensor(index).position));
@@ -150,6 +152,14 @@ std::vector<std::size_t> ScanSensorsIn(const SensorPopulation& population,
     }
   }
   return indices;
+}
+
+/// SensorsIn's answer, copied out of its view for comparison.
+std::vector<std::size_t> ListSensorsIn(const SensorPopulation& population,
+                                       const geom::Rect& rect) {
+  std::vector<std::uint32_t> scratch;
+  const Span<const std::uint32_t> got = population.SensorsIn(rect, &scratch);
+  return std::vector<std::size_t>(got.begin(), got.end());
 }
 
 /// Query rectangles over `region` for a population of `m` sensors: random
@@ -250,7 +260,7 @@ TEST(PopulationTest, SensorsInMatchesLinearScan) {
           for (const geom::Rect& rect : rects) {
             const std::vector<std::size_t> want =
                 ScanSensorsIn(*population, rect);
-            ASSERT_EQ(population->SensorsIn(rect), want)
+            ASSERT_EQ(ListSensorsIn(*population, rect), want)
                 << "round " << round << " rect " << rect.ToString();
             ASSERT_EQ(population->CountIn(rect), want.size())
                 << "round " << round << " rect " << rect.ToString();
@@ -371,7 +381,7 @@ TEST(PopulationTest, AlignedSensorsInMatchesLinearScan) {
           for (const geom::Rect& rect : rects) {
             const std::vector<std::size_t> want =
                 ScanSensorsIn(*population, rect);
-            ASSERT_EQ(population->SensorsIn(rect), want)
+            ASSERT_EQ(ListSensorsIn(*population, rect), want)
                 << "round " << round << " rect " << rect.ToString();
             ASSERT_EQ(population->CountIn(rect), want.size())
                 << "round " << round << " rect " << rect.ToString();
