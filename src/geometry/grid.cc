@@ -72,8 +72,7 @@ std::uint32_t Grid::ClampedColumn(double x) const {
   if (!(x < region_.x_max())) {
     return side_ - 1;
   }
-  return SideIndex(x, side_, region_.x_min(), region_.x_max(), cell_width_,
-                   inv_cell_width_);
+  return SideIndex(x, side_, region_.x_min(), cell_width_, inv_cell_width_);
 }
 
 std::uint32_t Grid::ClampedRow(double y) const {
@@ -83,7 +82,7 @@ std::uint32_t Grid::ClampedRow(double y) const {
   if (!(y < region_.y_max())) {
     return side_ - 1;
   }
-  return SideIndex(y, side_, region_.y_min(), region_.y_max(), cell_height_,
+  return SideIndex(y, side_, region_.y_min(), cell_height_,
                    inv_cell_height_);
 }
 
@@ -104,8 +103,8 @@ void Grid::FillFlatCells(Span<const SpaceTimePoint> points, std::uint32_t* out,
     // SideIndex is defined only for in-region coordinates; out-of-region
     // (or NaN) rows look up the region's corner instead, and their result
     // is discarded by the final select.
-    const std::uint32_t q = SideIndex(valid ? x : x0, side, x0, x1, cw, icw);
-    const std::uint32_t r = SideIndex(valid ? y : y0, side, y0, y1, ch, ich);
+    const std::uint32_t q = SideIndex(valid ? x : x0, side, x0, cw, icw);
+    const std::uint32_t r = SideIndex(valid ? y : y0, side, y0, ch, ich);
     out[i] = valid ? q * side + r : invalid_value;
   }
 }

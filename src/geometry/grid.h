@@ -88,10 +88,9 @@ class Grid {
     if (!region_.Contains(x, y)) {
       return std::nullopt;
     }
-    return CellIndex{SideIndex(x, side_, region_.x_min(), region_.x_max(),
-                               cell_width_, inv_cell_width_),
-                     SideIndex(y, side_, region_.y_min(), region_.y_max(),
-                               cell_height_, inv_cell_height_)};
+    return CellIndex{
+        SideIndex(x, side_, region_.x_min(), cell_width_, inv_cell_width_),
+        SideIndex(y, side_, region_.y_min(), cell_height_, inv_cell_height_)};
   }
 
   /// Column of `x`, clamped: the q whose CellRect x-range holds x when x
@@ -137,25 +136,26 @@ class Grid {
   Grid(Rect region, std::uint32_t side);
 
   /// Index i of the cell [Seam(i), Seam(i + 1)) holding `v`, for v in
-  /// [lo, hi), where Seam(i) = lo + i * w below `side` and `hi` at it: the
-  /// half-open edges CellRect draws. `inv_w` is 1 / w. Scaling by it lands
-  /// on i except within a few ulps of a seam, where it can be one cell off
-  /// (on 10 km / 15 x 15, x = 4.666666666666666 is seam 7, but even the
-  /// exact division gives 6.999999999999999); one comparison with each of
-  /// the cell's seams steps it back. Only selects, so a column sweep stays
-  /// branch-free.
+  /// [lo, hi) of a side cut into `side` cells of width `w`, where Seam(i) =
+  /// lo + i * w below `side` and hi at it: the half-open edges CellRect
+  /// draws. `inv_w` is 1 / w. Scaling by it lands on i except within a few
+  /// ulps of a seam, where it can be one cell off (on 10 km / 15 x 15,
+  /// x = 4.666666666666666 is seam 7, but even the exact division gives
+  /// 6.999999999999999); one comparison with each of the cell's seams
+  /// steps it back. The last cell never steps up, as its far seam is hi.
+  /// Only selects, so a lookup has no data-dependent branch: choosing hi
+  /// as the last cell's far seam compiled to a branch that mispredicted
+  /// about once in `side` lookups.
   static std::uint32_t SideIndex(double v, std::uint32_t side, double lo,
-                                 double hi, double w, double inv_w) {
+                                 double w, double inv_w) {
     std::uint32_t i = static_cast<std::uint32_t>((v - lo) * inv_w);
     i = i < side - 1 ? i : side - 1;  // v just below hi can scale to side
     // i < side <= 65535 (h is 32-bit), so the signed conversion is exact
     // and cheaper; di + 1 is i + 1 exactly.
     const double di = static_cast<double>(static_cast<std::int32_t>(i));
-    const double near = lo + di * w;           // Seam(i), i < side
-    const double far = i + 1 == side ? hi : lo + (di + 1.0) * w;
-    i -= v < near ? 1u : 0u;
-    i += v >= far ? 1u : 0u;
-    return i;
+    const bool down = v < lo + di * w;                      // v < Seam(i)
+    const bool up = (v >= lo + (di + 1.0) * w) & (i + 1 < side);
+    return i - (down ? 1u : 0u) + (up ? 1u : 0u);
   }
 
   Rect region_;

