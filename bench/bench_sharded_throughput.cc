@@ -1,7 +1,7 @@
 /// \file bench_sharded_throughput.cc
 /// \brief Sharded-runtime scaling sweep: tuples/sec for shards ∈ {1,2,4,8},
-/// plus the engine-loop overlap benchmark BM_EngineStepSync vs
-/// BM_EngineStepPipelined.
+/// plus the engine-loop benchmarks BM_EngineStepSync, BM_EngineStepPipelined
+/// and BM_EngineStepOneShard.
 ///
 /// Drives the multi-query operator-throughput workload (many overlapping
 /// acquisitional queries over an 8x8-cell grid, dense monotone-time tuple
@@ -15,11 +15,13 @@
 /// with pipeline_depth 1 (BM_EngineStepSync: drain every step) vs
 /// pipeline_depth 2 (BM_EngineStepPipelined: world simulation and handler
 /// dispatch of tick t+1 overlap the shards chewing tick t) and logs the
-/// steps/sec ratio — the CI release-bench job greps this. For both depths
-/// it prints each engine phase's share (world / handler / drain /
-/// dispatch, from the craqr.engine.phase.* histograms) of the summed
-/// Step() wall time, and exits non-zero when the phases cover less than
-/// 90% of it.
+/// steps/sec ratio — the CI release-bench job greps this. A third row,
+/// BM_EngineStepOneShard, runs one inline shard at depth 2 (no worker:
+/// the shard processes each batch inside Step()) and must route exactly
+/// what the 4-shard depth-2 run routes. For every row it prints each
+/// engine phase's share (world / handler / drain / dispatch, from the
+/// craqr.engine.phase.* histograms) of the summed Step() wall time, and
+/// exits non-zero when the phases cover less than 90% of it.
 ///
 /// Scaling is bounded by std::thread::hardware_concurrency(): on a
 /// single-core container every configuration serializes onto one CPU and
@@ -491,10 +493,12 @@ bool ReportPhaseShares(const char* label, const EngineRunResult& run) {
   return true;
 }
 
-/// Prints BM_EngineStepSync / BM_EngineStepPipelined and their ratio.
-/// The two depths follow different feedback contracts (depth 2 applies
-/// budget feedback one step later), so routed counts are close but not
-/// identical; a gross mismatch still indicates a routing bug.
+/// Prints BM_EngineStepSync / BM_EngineStepPipelined and their ratio, then
+/// BM_EngineStepOneShard. The two depths follow different feedback
+/// contracts (depth 2 applies budget feedback one step later), so their
+/// routed counts are close but not identical; a gross mismatch still
+/// indicates a routing bug. At equal depth the shard count must not change
+/// what is routed at all.
 bool RunEngineStepBench(std::size_t steps, std::size_t sensors) {
   const std::size_t shards = 4;
   std::printf("\nengine step loop (%zu shards, %zu sensors, %zu steps)\n",
@@ -514,11 +518,26 @@ bool RunEngineStepBench(std::size_t steps, std::size_t sensors) {
   std::printf("%-28s %14.1f %12llu %9.2fx\n", "BM_EngineStepPipelined",
               pipelined.steps_per_sec,
               static_cast<unsigned long long>(pipelined.routed), ratio);
+  const EngineRunResult one_shard = RunEngineSteps(1, 2, steps, sensors);
+  AddJsonEntry("BM_EngineStepOneShard", steps, one_shard.steps_per_sec);
+  std::printf("%-28s %14.1f %12llu %9s\n", "BM_EngineStepOneShard",
+              one_shard.steps_per_sec,
+              static_cast<unsigned long long>(one_shard.routed), "-");
   std::printf("share of summed Step wall time per phase:\n");
   const bool sync_covered = ReportPhaseShares("BM_EngineStepSync", sync);
   const bool pipelined_covered =
       ReportPhaseShares("BM_EngineStepPipelined", pipelined);
-  if (!sync_covered || !pipelined_covered) {
+  const bool one_shard_covered =
+      ReportPhaseShares("BM_EngineStepOneShard", one_shard);
+  if (!sync_covered || !pipelined_covered || !one_shard_covered) {
+    return false;
+  }
+  if (one_shard.routed != pipelined.routed) {
+    std::fprintf(stderr,
+                 "FAIL: one-shard engine routed %llu tuples, 4-shard engine "
+                 "at the same depth routed %llu\n",
+                 static_cast<unsigned long long>(one_shard.routed),
+                 static_cast<unsigned long long>(pipelined.routed));
     return false;
   }
   const double low = static_cast<double>(sync.routed) * 0.5;
@@ -574,8 +593,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // --engine-step: run only the engine-loop overlap benchmark (the CI
-  // release-bench filter for BM_EngineStepSync/Pipelined).
+  // --engine-step: run only the engine-loop benchmarks (the CI
+  // release-bench filter for BM_EngineStepSync/Pipelined/OneShard).
   bool engine_step_only = false;
   if (argc > 1 && std::string(argv[1]) == "--engine-step") {
     engine_step_only = true;

@@ -60,12 +60,11 @@ int main() {
   auto engine = engine::CraqrEngine::Make(std::move(world), config).MoveValue();
 
   const auto show = [&engine]() {
+    const runtime::ShardedStats stats = engine->Stats();
     std::printf("  live queries=%zu, materialized cells=%zu/%u, operators=%zu, "
                 "subscriptions=%zu\n",
-                engine->fabricator().NumQueries(),
-                engine->fabricator().NumMaterializedCells(),
-                engine->grid().NumCells(),
-                engine->fabricator().TotalOperators(),
+                stats.live_queries, stats.materialized_cells,
+                engine->grid().NumCells(), stats.total_operators,
                 engine->handler().NumSubscriptions());
   };
 

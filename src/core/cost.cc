@@ -46,10 +46,10 @@ std::string TopologyCostReport::ToString() const {
   return os.str();
 }
 
-TopologyCostReport EstimateCost(const fabric::StreamFabricator& fabricator,
+TopologyCostReport EstimateCost(const runtime::ShardedFabricator& runtime,
                                 const OperatorCosts& costs) {
   TopologyCostReport report;
-  fabricator.VisitOperators([&](const ops::Operator& op) {
+  runtime.VisitOperators([&](const ops::Operator& op) {
     const std::uint64_t evaluations = op.stats().tuples_in;
     report.total_cost +=
         static_cast<double>(evaluations) * costs.CostOf(op.kind());

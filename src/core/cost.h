@@ -4,8 +4,8 @@
 #include <map>
 #include <string>
 
-#include "fabric/fabricator.h"
 #include "ops/operator.h"
+#include "runtime/sharded_fabricator.h"
 
 /// \file cost.h
 /// \brief Operator cost model — the paper's "Query optimization" extension
@@ -14,9 +14,10 @@
 ///
 /// Costs are abstract units per tuple evaluation, differentiated by
 /// operator kind (an F evaluation runs estimation work; a T evaluation is
-/// one coin toss). The report prices an entire fabricator topology from
-/// its observed per-operator evaluation counters, enabling apples-to-
-/// apples comparison of alternative topologies (e.g. shared vs naive).
+/// one coin toss). The report prices an entire runtime topology (shard
+/// fabricators plus router merge stages) from its observed per-operator
+/// evaluation counters, enabling apples-to-apples comparison of
+/// alternative topologies (e.g. shared vs naive).
 
 namespace craqr {
 namespace engine {
@@ -56,9 +57,9 @@ struct TopologyCostReport {
   std::string ToString() const;
 };
 
-/// \brief Prices every operator in a fabricator from its observed
+/// \brief Prices every operator in a runtime from its observed
 /// evaluation counters.
-TopologyCostReport EstimateCost(const fabric::StreamFabricator& fabricator,
+TopologyCostReport EstimateCost(const runtime::ShardedFabricator& runtime,
                                 const OperatorCosts& costs = OperatorCosts());
 
 }  // namespace engine

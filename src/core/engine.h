@@ -1,14 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/result.h"
 #include "fabric/fabricator.h"
 #include "geometry/grid.h"
@@ -32,14 +29,16 @@
 /// the per-cell PMAT topologies, and every live query's sink receives its
 /// fabricated MCDS at (approximately) the requested spatio-temporal rate.
 ///
-/// On the sharded runtime the loop is **pipelined**: each step's batch is
-/// enqueued to the shard workers and the next step's world simulation and
-/// handler dispatch run while they chew, with an epoch-tagged partial
-/// drain as the only per-step synchronization. The closed budget/incentive
-/// feedback loop follows a fixed epoch contract (see
-/// EngineConfig::pipeline_depth) applied identically on the synchronous
-/// path, so delivered streams and violation-replay order are byte-exact
-/// across shard counts and execution modes.
+/// The topologies always run in the sharded runtime
+/// (runtime::ShardedFabricator), one execution path for every shard count.
+/// Each step's batch is epoch-stamped and enqueued, then drained. A single
+/// shard runs inline, so a step's deliveries are in the sinks when Step()
+/// returns. With worker shards the loop is **pipelined**: the next step's
+/// world simulation and handler dispatch run while the workers chew, with
+/// an epoch-tagged partial drain as the only per-step synchronization. The
+/// closed budget/incentive feedback loop follows a fixed epoch contract
+/// (see EngineConfig::pipeline_depth), so delivered streams and
+/// violation-replay order are byte-exact across shard counts.
 
 namespace craqr {
 namespace engine {
@@ -60,40 +59,37 @@ struct EngineConfig {
   bool enable_incentives = false;
   /// Incentive-policy parameters (used when enable_incentives).
   server::IncentiveConfig incentive;
-  /// \brief Execution shards. 1 (the default) keeps today's in-process
-  /// single-threaded StreamFabricator; >= 2 routes batches through the
-  /// sharded runtime (runtime::ShardedFabricator), one worker thread per
-  /// shard. Cell-local operator seeding makes the delivered streams
-  /// identical either way for a fixed master seed, and violation reports
-  /// replay in completion-time order on both paths, so even the
-  /// order-sensitive enable_incentives feedback evolves identically
+  /// \brief Execution shards of the runtime. 1 (the default) runs the one
+  /// shard inline on the engine's thread: no worker, no queue hop. >= 2
+  /// starts one worker thread per shard. Cell-local operator seeding makes
+  /// the delivered streams identical for any count and a fixed master
+  /// seed, and violation reports replay in completion-time order, so even
+  /// the order-sensitive enable_incentives feedback evolves identically
   /// across shard counts (see sharded_fabricator.h).
   std::size_t num_shards = 1;
-  /// Sub-batches each shard queue buffers before back-pressure (used when
-  /// num_shards >= 2).
+  /// Sub-batches each shard worker's queue buffers before back-pressure.
   std::size_t shard_queue_capacity = 64;
   /// \brief Pipeline depth D (>= 1): the engine's step/feedback contract.
   ///
   /// D defines when the closed-loop feedback from step e's batch (F-operator
-  /// violation reports driving budgets and incentives) is applied: at step
-  /// e + D - 1, after that step's handler dispatch and before that step's
-  /// batch is submitted. D = 1 is the classic fully synchronous loop
-  /// (feedback applies within its own step, exactly the pre-pipelining
-  /// semantics). D >= 2 introduces a fixed (D-1)-step feedback latency —
-  /// and, when num_shards >= 2, buys the overlap: Step() enqueues tick t
-  /// without waiting and simulates tick t+1 (world advance + handler
-  /// dispatch into the next recycled batch of a D-deep ring) while the
-  /// shard workers chew, draining only through epoch t-D+2 before each
-  /// enqueue and fully at observation points (Stats(), query churn,
-  /// RunFor() return, DrainPipeline()).
+  /// violation reports driving budgets and incentives) is applied: at the
+  /// end of step e + D - 1, after that step's handler dispatch, so step
+  /// e + D's dispatch is the first to see it. D = 1 is the classic fully
+  /// synchronous loop (feedback applies within its own step). D >= 2
+  /// introduces a fixed (D-1)-step feedback latency — and, when
+  /// num_shards >= 2, buys the overlap: Step() enqueues tick t and drains
+  /// only through epoch t-D+1, so the workers chew tick t while the next
+  /// Step() simulates tick t+1 (world advance + handler dispatch). Full
+  /// drains happen at observation points (Stats(), query churn, RunFor()
+  /// return, DrainPipeline()). A single inline shard has nothing to
+  /// overlap: it finishes every step's batch inside Step(), and D sets
+  /// only the feedback lag.
   ///
-  /// The contract is applied on every execution path — the single-threaded
-  /// engine emulates the same lag with an internal buffer — so for a fixed
-  /// D the delivered streams and the violation-replay order are byte-exact
-  /// across num_shards (1 included) and across synchronous vs pipelined
-  /// execution. Raising D hides more shard latency per step but delays
-  /// budget reactions by D-1 steps; 2 (the default) already overlaps a full
-  /// step of world simulation with shard processing.
+  /// For a fixed D the delivered streams and the violation-replay order
+  /// are byte-exact across num_shards. Raising D hides more shard latency
+  /// per step but delays budget reactions by D-1 steps; 2 (the default)
+  /// already overlaps a full step of world simulation with shard
+  /// processing.
   std::size_t pipeline_depth = 2;
   /// \brief Span-trace ring capacity (events per ring); 0 (the default)
   /// disables tracing. When > 0 the engine keeps a bounded ring of
@@ -103,9 +99,9 @@ struct EngineConfig {
   /// in chrome://tracing or Perfetto. Observation-only: tracing does not
   /// change delivered streams.
   std::size_t trace_capacity = 0;
-  /// \brief Load-aware cell rebalancing cadence (sharded path only,
+  /// \brief Load-aware cell rebalancing cadence (moves cells only when
   /// num_shards >= 2): every N steps the engine runs
-  /// runtime::ShardedFabricator::Rebalance() at the step's epoch boundary,
+  /// runtime::ShardedFabricator::Rebalance() after the step's drain,
   /// migrating hot cells' live topologies to underloaded shards. Cell-local
   /// operator seeding keeps delivered streams byte-exact whether and
   /// whenever rebalancing fires. 0 (the default) disables it.
@@ -117,19 +113,19 @@ struct EngineConfig {
   /// batch. Complements rebalancing — stealing absorbs transient bursts
   /// within a batch, rebalancing fixes sustained skew across epochs.
   bool enable_work_stealing = false;
-  /// Credit-based admission / overload-shedding knobs (sharded path only):
-  /// shard-queue push policy and the shed policy for credit-exhausted
-  /// query subscribers. See runtime::AdmissionConfig.
+  /// Credit-based admission / overload-shedding knobs: shard-queue push
+  /// policy and the shed policy for credit-exhausted query subscribers.
+  /// See runtime::AdmissionConfig.
   runtime::AdmissionConfig admission;
-  /// Epoch-barrier checkpoint/restore knobs (sharded path only). Enabling
-  /// records per-shard replay logs and lets a crashed shard be rebuilt
-  /// byte-exactly. See runtime::CheckpointConfig.
+  /// Epoch-barrier checkpoint/restore knobs. Enabling records per-shard
+  /// replay logs and lets a crashed shard be rebuilt byte-exactly. See
+  /// runtime::CheckpointConfig.
   runtime::CheckpointConfig checkpoint;
-  /// \brief Checkpoint cadence (sharded path, implies checkpoint.enabled):
-  /// every N steps the engine refreshes the runtime checkpoint at the
-  /// step's epoch boundary, bounding both replay-log growth and crash
-  /// recovery time. 0 (the default) keeps only the automatic checkpoints
-  /// (construction + topology changes).
+  /// \brief Checkpoint cadence (implies checkpoint.enabled): every N steps
+  /// the engine refreshes the runtime checkpoint after the step's drain,
+  /// bounding both replay-log growth and crash recovery time. 0 (the
+  /// default) keeps only the automatic checkpoints (construction +
+  /// topology changes).
   std::uint64_t checkpoint_every_steps = 0;
   /// \brief Bounded-memory endurance budget in bytes across the string
   /// pool, recycled batch arenas and shard queues. 0 (the default)
@@ -140,8 +136,7 @@ struct EngineConfig {
   /// reclamation (string re-intern + generation retirement + arena/
   /// scratch trims — delivered streams stay byte-exact), crossing the
   /// hard watermark additionally sheds deliveries and queue pushes
-  /// instead of OOMing (sharded path; the single-fabricator path reclaims
-  /// but has no shed machinery). See runtime/memory_governor.h.
+  /// instead of OOMing. See runtime/memory_governor.h.
   std::size_t memory_budget_bytes = 0;
   /// Watermark / hard-shed fine-tuning; its budget_bytes is overridden by
   /// memory_budget_bytes whenever that is non-zero.
@@ -177,13 +172,13 @@ class CraqrEngine {
   /// sensors, dispatches acquisition requests, collects arrived responses
   /// and runs them through the fabricator.
   ///
-  /// On the pipelined path (num_shards >= 2 and pipeline_depth >= 2) the
-  /// step's batch is *enqueued*, not processed: Step() returns while the
-  /// shard workers chew and the next Step() overlaps its world simulation
-  /// and handler dispatch with them, waiting only for the epoch the
-  /// feedback contract makes due (see EngineConfig::pipeline_depth).
-  /// Deliveries reach query sinks at drain points — every observation
-  /// accessor drains first, so readers never see a partial stream.
+  /// The step's batch is enqueued to the runtime, then drained. A single
+  /// inline shard has processed the batch by then, and the drain moves
+  /// its deliveries into the sinks. With worker shards (and
+  /// pipeline_depth >= 2) the drain waits only for the epoch the feedback
+  /// contract makes due, so Step() returns while the workers chew (see
+  /// EngineConfig::pipeline_depth); every observation accessor drains
+  /// first, so readers never see a partial stream.
   Status Step();
 
   /// Runs Step() until at least `minutes` of simulated time have passed,
@@ -191,11 +186,10 @@ class CraqrEngine {
   /// is reported with its step index and simulated time.
   Status RunFor(double minutes);
 
-  /// \brief Waits for all in-flight pipelined work and flushes deliveries
-  /// into query sinks (feedback beyond its contracted step stays held).
-  /// No-op on the synchronous path. Called implicitly by RunFor() and
-  /// Stats(); manual Step() drivers reading sinks directly should call it
-  /// first.
+  /// \brief Waits for all in-flight work and flushes deliveries into query
+  /// sinks (feedback beyond its contracted step stays held). Called
+  /// implicitly by RunFor() and Stats(); manual Step() drivers of a
+  /// worker-sharded engine reading sinks directly should call it first.
   Status DrainPipeline();
 
   /// Current simulated time (minutes).
@@ -205,22 +199,8 @@ class CraqrEngine {
   ///@{
   const sensing::CrowdWorld& world() const { return world_; }
   sensing::CrowdWorld& world() { return world_; }
-  /// The in-process fabricator; only valid when config.num_shards == 1
-  /// (IsSharded() false). Aborts with a diagnostic instead of
-  /// dereferencing null when the engine is sharded — use the
-  /// execution-path-independent aggregates below for code that must work
-  /// either way.
-  const fabric::StreamFabricator& fabricator() const {
-    if (fabricator_ == nullptr) {
-      CRAQR_LOG(ERROR) << "CraqrEngine::fabricator() called on a sharded "
-                          "engine (num_shards >= 2); use sharded() or the "
-                          "aggregate accessors";
-      std::abort();
-    }
-    return *fabricator_;
-  }
-  /// The sharded runtime; nullptr when config.num_shards == 1.
-  const runtime::ShardedFabricator* sharded() const { return sharded_.get(); }
+  /// The runtime every batch runs through (never null).
+  const runtime::ShardedFabricator* sharded() const { return runtime_.get(); }
   const server::BudgetManager& budgets() const { return budgets_; }
   const server::RequestResponseHandler& handler() const { return *handler_; }
   const server::IncentiveController& incentives() const {
@@ -236,100 +216,59 @@ class CraqrEngine {
     return infeasible_log_;
   }
 
-  /// True when batches run through the sharded runtime.
-  bool IsSharded() const { return sharded_ != nullptr; }
-
-  /// \name Execution-path-independent aggregates
-  /// Dispatch to the in-process fabricator or aggregate across shards.
-  /// When sharded, every accessor (and Stats()) costs one cross-shard
-  /// barrier — and on the pipelined path a full drain first, so the
-  /// numbers are consistent with every step taken so far (an observation
-  /// point of the epoch contract). Callers needing several counters
-  /// should take one Stats() snapshot instead of chaining the scalar
-  /// accessors. Stats() also reports ops::ValuePool::Global() growth
-  /// (value_pool_bytes) and, when sharded, per-shard load counters.
+  /// \name Aggregates
+  /// Every accessor (and Stats()) costs one cross-shard barrier — and a
+  /// full drain first, so the numbers are consistent with every step taken
+  /// so far (an observation point of the epoch contract). Callers needing
+  /// several counters should take one Stats() snapshot instead of chaining
+  /// the scalar accessors. Stats() also reports the string pool's growth
+  /// (value_pool_bytes) and per-shard load counters.
   ///@{
   runtime::ShardedStats Stats();
   std::uint64_t TuplesRouted();
   std::uint64_t TuplesUnrouted();
   std::uint64_t TotalOperatorEvaluations();
   std::size_t NumLiveQueries() const;
-  /// Structural self-check of the Section-V topology rules on whichever
-  /// execution path is active.
+  /// Structural self-check of the Section-V topology rules.
   Status ValidateTopology() const;
   ///@}
 
  private:
   CraqrEngine(sensing::CrowdWorld world, const geom::Grid& grid,
               const EngineConfig& config,
-              std::unique_ptr<fabric::StreamFabricator> fabricator,
-              std::unique_ptr<runtime::ShardedFabricator> sharded,
+              std::unique_ptr<runtime::ShardedFabricator> runtime,
               server::BudgetManager budgets,
               server::IncentiveController incentives);
 
+  /// Feeds one violation report into the budget manager (and
+  /// incentives); the runtime calls it when the epoch contract releases
+  /// the report.
   void OnViolationReport(ops::AttributeId attribute,
                          const geom::CellIndex& cell,
                          const ops::FlattenBatchReport& report);
-  /// Feeds one report into the budget manager (and incentives); the
-  /// feedback half the epoch contract schedules.
-  void ApplyFeedback(ops::AttributeId attribute, const geom::CellIndex& cell,
-                     const ops::FlattenBatchReport& report);
-  /// Applies every deferred report whose contracted step has arrived
-  /// (synchronous-path lag emulation; FIFO preserves replay order).
-  void ApplyDueFeedback();
-  /// Per-step memory-governance poll on the single-fabricator path
-  /// (num_shards == 1): assesses pool + operator-scratch accounting and
-  /// runs the value-preserving reclamation pass when a watermark is
-  /// crossed. The sharded path delegates to
-  /// runtime::ShardedFabricator::GovernMemory instead.
-  Status GovernSingle();
 
   sensing::CrowdWorld world_;
   geom::Grid grid_;
   EngineConfig config_;
-  /// Exactly one of fabricator_ / sharded_ is set (num_shards == 1 vs >= 2).
-  std::unique_ptr<fabric::StreamFabricator> fabricator_;
-  std::unique_ptr<runtime::ShardedFabricator> sharded_;
+  std::unique_ptr<runtime::ShardedFabricator> runtime_;
   server::BudgetManager budgets_;
   server::IncentiveController incentives_;
-  /// Single-path memory governor (set when num_shards == 1 and a budget
-  /// is configured; the sharded runtime owns its own).
-  std::unique_ptr<runtime::MemoryGovernor> governor_;
   std::optional<server::RequestResponseHandler> handler_;
   std::vector<server::BudgetKey> infeasible_log_;
-  /// Ring of recycled columnar step batches the handler fills and the
-  /// execution path consumes (capacity persists across steps). One entry
-  /// on the synchronous path; pipeline_depth entries when pipelined, so a
-  /// submitted batch is not rewritten for D-1 further steps. (Today
-  /// EnqueueBatch consumes its input before returning, so one buffer
-  /// would also work — the ring keeps the engine independent of that
-  /// runtime implementation detail, e.g. a future zero-copy handoff.)
-  std::vector<ops::TupleBatch> step_batches_;
-  std::size_t step_cursor_ = 0;
-  /// Steps taken so far — the epoch stamped onto pipelined batches.
+  /// Recycled columnar step batch the handler fills; EnqueueBatch consumes
+  /// its rows and leaves the capacity for the next step.
+  ops::TupleBatch step_batch_;
+  /// Steps taken so far — the epoch stamped onto each step's batch.
   std::uint64_t step_count_ = 0;
-  /// num_shards >= 2 && pipeline_depth >= 2: Step() enqueues instead of
-  /// processing and the runtime holds feedback to the epoch horizon.
-  bool pipelined_ = false;
-  /// Synchronous path with pipeline_depth >= 2: the engine itself defers
-  /// feedback to the contracted step (the runtime applies no lag there).
-  bool defer_feedback_ = false;
-  /// One report awaiting its contracted step (synchronous lag emulation).
-  struct DeferredFeedback {
-    std::uint64_t due_step = 0;
-    ops::AttributeId attribute = 0;
-    geom::CellIndex cell;
-    ops::FlattenBatchReport report;
-  };
-  std::deque<DeferredFeedback> deferred_feedback_;
   double now_ = 0.0;
 
   /// \name Step-phase telemetry (registry-backed, observation-only).
   /// Histograms of per-step time inside each phase of the loop: world
-  /// simulation, handler dispatch, pipeline drain wait, and batch
-  /// dispatch (enqueue when pipelined, full ProcessBatch when
-  /// synchronous). Shared across engines in one process (histograms
-  /// merge); the optional trace ring records the same phases as spans.
+  /// simulation, handler dispatch, batch dispatch (the enqueue, which on
+  /// an inline shard processes the batch) and drain (the epoch wait and
+  /// collect, plus the cadenced rebalance, checkpoint and governance
+  /// poll). Shared across engines in one process (histograms merge); the
+  /// optional trace ring records the same phases as spans.
   ///@{
   obs::LogHistogram* phase_world_ns_ = nullptr;
   obs::LogHistogram* phase_handler_ns_ = nullptr;

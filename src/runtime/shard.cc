@@ -16,7 +16,7 @@ Result<std::unique_ptr<Shard>> Shard::Make(
     std::size_t index, const geom::Grid& grid,
     const fabric::FabricConfig& config, std::size_t queue_capacity,
     const std::string& metrics_scope, std::size_t trace_capacity,
-    std::shared_ptr<StealDomain> steal_domain) {
+    std::shared_ptr<StealDomain> steal_domain, bool run_inline) {
   if (queue_capacity < 1) {
     return Status::InvalidArgument("shard queue capacity must be >= 1");
   }
@@ -50,7 +50,10 @@ Result<std::unique_ptr<Shard>> Shard::Make(
         raw->outbox_.violations.push_back(
             {attribute, cell, report, raw->current_epoch_});
       });
-  shard->worker_ = std::thread([raw] { raw->WorkerLoop(); });
+  shard->inline_ = run_inline;
+  if (!run_inline) {
+    shard->worker_ = std::thread([raw] { raw->WorkerLoop(); });
+  }
   return shard;
 }
 
@@ -110,7 +113,18 @@ void Shard::NoteEnqueued() {
   }
 }
 
+Status Shard::RunInline(Task task) {
+  if (stopped_) {
+    return Status::FailedPrecondition("shard is stopped");
+  }
+  ProcessTask(std::move(task));
+  return Status::OK();
+}
+
 Status Shard::EnqueueBatch(ops::TupleBatch batch, std::uint64_t epoch) {
+  if (inline_) {
+    return RunInline(MakeBatchTask(std::move(batch), epoch));
+  }
   // Account queue bytes *before* the push: the worker may pop and settle
   // the task the instant it lands, and the counter must never go negative.
   const std::size_t bytes = batch.ApproxBytes();
@@ -124,6 +138,9 @@ Status Shard::EnqueueBatch(ops::TupleBatch batch, std::uint64_t epoch) {
 }
 
 Status Shard::TryEnqueueBatch(ops::TupleBatch batch, std::uint64_t epoch) {
+  if (inline_) {
+    return RunInline(MakeBatchTask(std::move(batch), epoch));
+  }
   using PushResult = BoundedTaskQueue<Task>::PushResult;
   const std::size_t bytes = batch.ApproxBytes();
   queue_bytes_.fetch_add(bytes, std::memory_order_relaxed);
@@ -144,6 +161,9 @@ Status Shard::TryEnqueueBatch(ops::TupleBatch batch, std::uint64_t epoch) {
 
 Status Shard::EnqueueBatchFor(ops::TupleBatch batch, std::uint64_t epoch,
                               std::chrono::milliseconds timeout) {
+  if (inline_) {
+    return RunInline(MakeBatchTask(std::move(batch), epoch));
+  }
   using PushResult = BoundedTaskQueue<Task>::PushResult;
   const std::size_t bytes = batch.ApproxBytes();
   queue_bytes_.fetch_add(bytes, std::memory_order_relaxed);
@@ -164,25 +184,32 @@ Status Shard::EnqueueBatchFor(ops::TupleBatch batch, std::uint64_t epoch,
 }
 
 Status Shard::RunControl(ControlFn fn) {
-  std::promise<void> done;
-  std::future<void> future = done.get_future();
-  // The worker writes ctl_status before set_value and the caller reads it
-  // only after future.wait(), so the stack capture is safe and ordered.
-  Status ctl_status;
-  Task task;
-  task.control = [&done, &ctl_status, index = index_,
-                  fn = std::move(fn)](fabric::StreamFabricator& f) {
-    // Catch inside the closure: a throwing control fn must still fulfil
-    // the promise or the waiting caller deadlocks.
+  // A throwing control fn surfaces as Internal instead of unwinding through
+  // the worker (which would leave the waiting caller deadlocked).
+  const auto guarded = [this, &fn](fabric::StreamFabricator& f) -> Status {
     try {
       fn(f);
     } catch (const std::exception& e) {
-      ctl_status = Status::Internal("shard " + std::to_string(index) +
-                                    " control task threw: " + e.what());
+      return Status::Internal("shard " + std::to_string(index_) +
+                              " control task threw: " + e.what());
     } catch (...) {
-      ctl_status = Status::Internal("shard " + std::to_string(index) +
-                                    " control task threw a foreign object");
+      return Status::Internal("shard " + std::to_string(index_) +
+                              " control task threw a foreign object");
     }
+    return Status::OK();
+  };
+  if (inline_) {
+    return stopped_ ? Status::FailedPrecondition("shard is stopped")
+                    : guarded(*fabricator_);
+  }
+  std::promise<void> done;
+  std::future<void> future = done.get_future();
+  // The worker writes ctl_status before set_value and the caller reads it
+  // only after future.wait(), so the stack captures are safe and ordered.
+  Status ctl_status;
+  Task task;
+  task.control = [&done, &ctl_status, &guarded](fabric::StreamFabricator& f) {
+    ctl_status = guarded(f);
     done.set_value();
   };
   if (!queue_.Push(std::move(task))) {
@@ -310,6 +337,10 @@ void Shard::WorkerLoop() {
         steal_domain_->WaitForChange(seen);
       }
     }
+    // Settle the queue-byte account: the storage hasn't been touched since
+    // enqueue, so this subtracts exactly what the producer added.
+    queue_bytes_.fetch_sub(task->batch.ApproxBytes(),
+                           std::memory_order_relaxed);
     ProcessTask(std::move(*task));
   }
 }
@@ -324,9 +355,6 @@ void Shard::ProcessTask(Task task) {
     // latest epoch.
     current_epoch_ = task.epoch;
   }
-  // Settle the queue-byte account: the storage hasn't been touched since
-  // enqueue, so this subtracts exactly what the producer added.
-  queue_bytes_.fetch_sub(task.batch.ApproxBytes(), std::memory_order_relaxed);
   const auto tuples = static_cast<std::uint64_t>(task.batch.size());
   const std::uint64_t start_ns = obs::NowNs();
   // The batch path is exception-hardened: an operator or fabricator throw

@@ -29,10 +29,13 @@
 /// cells and a dedicated worker thread that drains a bounded task queue.
 /// Tasks are either tuple sub-batches (the hot path) or control commands
 /// (query insertion/removal, barriers); FIFO order keeps control changes
-/// correctly interleaved with the batches around them. Tuples delivered by
-/// the shard's partial query streams accumulate in an outbox the router
-/// collects at batch boundaries and feeds into the per-query U merge
-/// stage.
+/// correctly interleaved with the batches around them. An *inline* shard
+/// (the sole shard of a one-shard runtime) has no worker: every task runs
+/// on the caller's thread before the enqueue or control call returns, so
+/// its queue stays empty and its epochs are complete on return. Tuples
+/// delivered by the shard's partial query streams accumulate in an outbox
+/// the router collects at batch boundaries and feeds into the per-query U
+/// merge stage.
 ///
 /// Batch tasks carry an **epoch** stamp — the engine's step number on the
 /// pipelined path. Epochs are monotone in enqueue order, so once the
@@ -142,7 +145,8 @@ class StealDomain {
   std::vector<Shard*> members_;
 };
 
-/// \brief A worker thread plus the StreamFabricator it exclusively drives.
+/// \brief A worker thread (none when inline) plus the StreamFabricator it
+/// exclusively drives.
 class Shard {
  public:
   /// A command executed on the worker thread, in queue order, with
@@ -160,12 +164,14 @@ class Shard {
   /// its worker helps drain peers' published chain-group jobs while its
   /// own queue is empty, and its own batches are dispatched cooperatively
   /// (fabric::StreamFabricator::BeginDispatch) so peers can help back.
+  /// `run_inline` starts no worker: tasks then run on the caller's thread.
   static Result<std::unique_ptr<Shard>> Make(
       std::size_t index, const geom::Grid& grid,
       const fabric::FabricConfig& config, std::size_t queue_capacity,
       const std::string& metrics_scope = std::string(),
       std::size_t trace_capacity = 0,
-      std::shared_ptr<StealDomain> steal_domain = nullptr);
+      std::shared_ptr<StealDomain> steal_domain = nullptr,
+      bool run_inline = false);
 
   ~Shard();
 
@@ -203,11 +209,11 @@ class Shard {
   Status EnqueueBatchFor(ops::TupleBatch batch, std::uint64_t epoch,
                          std::chrono::milliseconds timeout);
 
-  /// Runs `fn` on the worker thread after all previously queued tasks and
-  /// waits for it to finish. The function reports its own results through
-  /// captured state. A throwing `fn` is caught on the worker and surfaces
-  /// here as Internal (with the shard index and the exception message)
-  /// instead of wedging the waiting caller.
+  /// Runs `fn` on the worker thread (the caller's, on an inline shard)
+  /// after all previously queued tasks and waits for it to finish. The
+  /// function reports its own results through captured state. A throwing
+  /// `fn` is caught and surfaces here as Internal (with the shard index
+  /// and the exception message) instead of wedging the waiting caller.
   Status RunControl(ControlFn fn);
 
   /// \brief Simulated shard crash (fault-tolerance testing): destroys the
@@ -355,6 +361,8 @@ class Shard {
   Task MakeBatchTask(ops::TupleBatch batch, std::uint64_t epoch);
   /// Post-push bookkeeping shared by the enqueue variants.
   void NoteEnqueued();
+  /// Runs a batch task at once on the caller's thread (inline shards).
+  Status RunInline(Task task);
 
   void WorkerLoop();
   /// Runs one popped task (batch or control); shared by both worker-loop
@@ -385,6 +393,8 @@ class Shard {
   fabric::FabricConfig fabric_config_;
   BoundedTaskQueue<Task> queue_;
   std::thread worker_;
+  /// No worker thread: tasks run on the caller's thread (see Make).
+  bool inline_ = false;
   bool stopped_ = false;
 
   /// Work-stealing group; nullptr for fixed-ownership shards (the default

@@ -47,13 +47,16 @@ Result<std::unique_ptr<ShardedFabricator>> ShardedFabricator::Make(
   if (config.enable_stealing && config.num_shards >= 2) {
     steal_domain = std::make_shared<StealDomain>();
   }
+  // A single shard has nothing to overlap with, so it runs inline on the
+  // caller's thread: no worker to start, wake or join.
+  const bool run_inline = config.num_shards == 1;
   runtime->shards_.reserve(config.num_shards);
   for (std::size_t i = 0; i < config.num_shards; ++i) {
     CRAQR_ASSIGN_OR_RETURN(
         auto shard,
         Shard::Make(i, grid, config.fabric, config.queue_capacity,
                     runtime->metrics_scope_, config.trace_capacity,
-                    steal_domain));
+                    steal_domain, run_inline));
     runtime->shards_.push_back(std::move(shard));
   }
   runtime->shard_inflight_epochs_.resize(config.num_shards);
@@ -397,7 +400,11 @@ Status ShardedFabricator::EnqueueBatchLocked(ops::TupleBatch& batch,
   batch.Materialize();
   std::vector<ops::TupleBatch> sub(shards_.size());
   const auto n = static_cast<std::uint32_t>(batch.size());
-  if (n > 0 && !shard_for_flat_.empty()) {
+  if (shards_.size() == 1) {
+    // Nothing to partition: the lone shard's fabricator maps every row to
+    // its cell itself and counts the rows outside R as its unrouted.
+    sub[0].Swap(batch);
+  } else if (n > 0 && !shard_for_flat_.empty()) {
     const auto num_shards = static_cast<std::uint32_t>(shards_.size());
     row_cells_.resize(n);
     grid_.FillFlatCells(batch.Points(), row_cells_.data(),
@@ -544,16 +551,8 @@ Status ShardedFabricator::EnqueueBatch(ops::TupleBatch& batch,
 }
 
 Status ShardedFabricator::ProcessBatch(const std::vector<ops::Tuple>& batch) {
-  std::unique_lock<std::mutex> lock(mu_);
-  const Status status = [&]() -> Status {
-    CRAQR_RETURN_NOT_OK(EnqueueBatchLocked(batch, last_enqueued_epoch_ + 1));
-    CRAQR_RETURN_NOT_OK(BarrierLocked());
-    CRAQR_RETURN_NOT_OK(CollectLocked());
-    // Epoch boundary: the site the "runtime.shard_crash" fault targets.
-    return MaybeInjectCrashLocked();
-  }();
-  ReplayViolationsAndUnlock(lock);
-  return status;
+  ops::TupleBatch columns(batch);
+  return ProcessBatch(columns);
 }
 
 Status ShardedFabricator::ProcessBatch(ops::TupleBatch& batch) {
@@ -582,6 +581,11 @@ Status ShardedFabricator::Drain() {
 }
 
 Status ShardedFabricator::DrainThrough(std::uint64_t epoch) {
+  return DrainThrough(epoch, epoch);
+}
+
+Status ShardedFabricator::DrainThrough(std::uint64_t epoch,
+                                       std::uint64_t release_through) {
   std::unique_lock<std::mutex> lock(mu_);
   const Status status = [&]() -> Status {
     // Time only the epoch wait — the pipeline-stall signal (how long the
@@ -601,10 +605,11 @@ Status ShardedFabricator::DrainThrough(std::uint64_t epoch) {
     // Epoch boundary: the site the "runtime.shard_crash" fault targets.
     return MaybeInjectCrashLocked();
   }();
-  // Advancing the horizon is what releases this epoch's feedback; a
-  // DrainThrough on a runtime that never engaged the horizon engages it.
-  if (replay_horizon_ == kNoReplayHorizon || epoch > replay_horizon_) {
-    replay_horizon_ = epoch;
+  // Advancing the horizon is what releases feedback; a DrainThrough on a
+  // runtime that never engaged the horizon engages it.
+  if (replay_horizon_ == kNoReplayHorizon ||
+      release_through > replay_horizon_) {
+    replay_horizon_ = release_through;
   }
   ReplayViolationsAndUnlock(lock);
   return status;
@@ -1593,6 +1598,23 @@ Status ShardedFabricator::ValidateInvariants() const {
     }
   }
   return Status::OK();
+}
+
+void ShardedFabricator::VisitOperators(
+    const std::function<void(const ops::Operator&)>& visitor) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!BarrierLocked().ok()) {
+    return;  // a latched shard error; TrySnapshot reports it
+  }
+  for (const auto& shard : shards_) {
+    shard->fabricator().VisitOperators(visitor);
+  }
+  for (const auto& [id, qs] : queries_) {
+    (void)id;
+    for (const auto& op : qs.merge_pipeline.operators()) {
+      visitor(*op);
+    }
+  }
 }
 
 std::string ShardedFabricator::DescribeTopology() const {

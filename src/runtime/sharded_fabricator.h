@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -29,7 +30,9 @@
 /// topology — partitions perfectly by cell, so the runtime assigns every
 /// grid cell to one of N shards (cell-index hash mod N). Each shard owns
 /// an independent StreamFabricator over its cell subset, drained by a
-/// dedicated worker thread pulling batches from a bounded queue:
+/// dedicated worker thread pulling batches from a bounded queue (a
+/// one-shard runtime has no worker: its shard runs every batch inline on
+/// the caller's thread, so an enqueued epoch is complete on return):
 ///
 ///   world -> handler batch -> [shard router] -> per-shard sub-batches
 ///          -> per-cell PMAT topologies (parallel) -> partial streams
@@ -149,7 +152,8 @@ struct CheckpointConfig {
 
 /// \brief Runtime construction parameters.
 struct ShardedConfig {
-  /// Number of shards / worker threads (>= 1).
+  /// Number of shards (>= 1): one worker thread each, except that a
+  /// single shard runs inline on the caller's thread.
   std::size_t num_shards = 1;
   /// Sub-batches each shard queue holds before producers block.
   std::size_t queue_capacity = 64;
@@ -203,7 +207,8 @@ struct ShardedConfig {
 /// advancing between snapshots; only this struct is a coherent cut.
 struct ShardLoadStats {
   std::size_t shard = 0;
-  /// Tuples the router partitioned into this shard's sub-batches.
+  /// Tuples the router partitioned into this shard's sub-batches (a lone
+  /// shard receives whole batches, rows outside the grid included).
   std::uint64_t tuples_enqueued = 0;
   /// Sub-batches the router enqueued to this shard.
   std::uint64_t batches_enqueued = 0;
@@ -272,7 +277,7 @@ struct ShardedStats {
   /// lives on exactly one shard).
   std::vector<std::pair<std::uint32_t, std::uint32_t>> shared_stage_census;
   ///@}
-  /// Per-shard load counters (empty on the unsharded engine path).
+  /// Per-shard load counters, one entry per shard.
   std::vector<ShardLoadStats> per_shard;
 };
 
@@ -280,7 +285,8 @@ struct ShardedStats {
 /// merges their per-query partial streams into the final MCDS.
 class ShardedFabricator {
  public:
-  /// Creates the runtime and starts one worker thread per shard.
+  /// Creates the runtime and starts one worker thread per shard (none for
+  /// a single, inline shard).
   static Result<std::unique_ptr<ShardedFabricator>> Make(
       const geom::Grid& grid, const ShardedConfig& config = ShardedConfig());
 
@@ -344,6 +350,13 @@ class ShardedFabricator {
   /// This is the pipelined engine's per-step synchronization point: one
   /// epoch's worth of waiting instead of a full barrier.
   Status DrainThrough(std::uint64_t epoch);
+
+  /// \brief DrainThrough that collects deliveries through `epoch` but
+  /// advances the replay horizon only to `release_through`, so feedback
+  /// can lag the deliveries: the engine collects a whole step from an
+  /// inline runtime while its feedback contract still holds that step's
+  /// reports back.
+  Status DrainThrough(std::uint64_t epoch, std::uint64_t release_through);
 
   /// \brief Engages the epoch horizon: violation reports from batches
   /// stamped with an epoch > `epoch` are held (in canonical order) at
@@ -517,6 +530,11 @@ class ShardedFabricator {
   /// across batch emits (head -> monitor -> sink), and no merge stage has
   /// received more tuples than its shard partial streams delivered.
   Status ValidateInvariants() const;
+
+  /// Invokes `visitor` on every operator of every shard fabricator and of
+  /// every router merge stage, after a barrier (cost accounting).
+  void VisitOperators(
+      const std::function<void(const ops::Operator&)>& visitor) const;
 
   /// Concatenated per-shard topology descriptions plus merge-stage lines.
   std::string DescribeTopology() const;

@@ -125,13 +125,17 @@ SensorPopulation::SensorPopulation(std::vector<Sensor> sensors,
 }
 
 void SensorPopulation::Advance(Rng* rng, double dt) {
+  bool moved = false;
   for (auto& sensor : sensors_) {
     if (sensor.mobility != nullptr) {
       sensor.position =
           sensor.mobility->Step(rng, sensor.position, dt, region());
+      moved = true;
     }
   }
-  RebuildIndex();
+  if (moved) {
+    RebuildIndex();  // a crowd with no mobility keeps its buckets as they are
+  }
 }
 
 Status SensorPopulation::AlignTo(const geom::Grid& grid) {

@@ -76,7 +76,7 @@ class SensorPopulation {
   const Sensor& sensor(std::size_t index) const { return sensors_[index]; }
 
   /// Moves every sensor forward by `dt` minutes and rebuilds the sensor
-  /// index.
+  /// index, unless no sensor has a mobility model.
   void Advance(Rng* rng, double dt);
 
   /// \brief Re-buckets the sensor index on the cells of `grid`, which must
@@ -127,7 +127,8 @@ class SensorPopulation {
   // plus one last bucket for positions outside R. A sensor's bucket is
   // exactly the cell whose CellRect contains it (Grid::CellContaining is
   // seam-exact). Positions change only in Make and Advance, and both
-  // rebuild it. Bucket b = FlatIndex(q, r) holds sensor indices
+  // rebuild it (Advance only when some sensor has a mobility model).
+  // Bucket b = FlatIndex(q, r) holds sensor indices
   // bucket_items_[bucket_start_[b], bucket_start_[b + 1]), ascending, so a
   // column's run of rows is one contiguous range.
   geom::Grid buckets_;

@@ -80,7 +80,7 @@ TEST(EngineTest, SubmitResolvesAttributeAndSubscribes) {
   const auto stream = engine->Submit(q);
   ASSERT_TRUE(stream.ok());
   EXPECT_EQ(engine->handler().NumSubscriptions(), 4u);  // 4 cells of 2x2 km
-  EXPECT_EQ(engine->fabricator().NumQueries(), 1u);
+  EXPECT_EQ(engine->Stats().live_queries, 1u);
   // Unknown attribute rejected.
   q.attribute = "humidity";
   EXPECT_EQ(engine->Submit(q).status().code(), StatusCode::kNotFound);
@@ -139,8 +139,9 @@ TEST(EngineTest, CancelRemovesTopologyAndSubscriptions) {
   ASSERT_TRUE(engine->RunFor(5.0).ok());
   ASSERT_TRUE(engine->Cancel(stream->id).ok());
   EXPECT_EQ(engine->handler().NumSubscriptions(), 0u);
-  EXPECT_EQ(engine->fabricator().NumQueries(), 0u);
-  EXPECT_EQ(engine->fabricator().NumMaterializedCells(), 0u);
+  const runtime::ShardedStats stats = engine->Stats();
+  EXPECT_EQ(stats.live_queries, 0u);
+  EXPECT_EQ(stats.materialized_cells, 0u);
   // Cancelling twice fails cleanly.
   EXPECT_EQ(engine->Cancel(stream->id).code(), StatusCode::kNotFound);
   // The engine keeps running fine afterwards.
@@ -204,13 +205,13 @@ TEST(EngineTest, MultipleConcurrentQueriesAllDeliver) {
 }
 
 TEST(EngineTest, ShardedEngineMatchesSingleThreadedEngine) {
-  // The same deterministic world driven through the in-process fabricator
-  // and through the 4-shard runtime must route and deliver identically.
+  // The same deterministic world driven through one inline shard and
+  // through 4 worker shards must route and deliver identically.
   auto run = [](std::size_t num_shards) {
     EngineConfig config = TestConfig();
     config.num_shards = num_shards;
     auto engine = CraqrEngine::Make(MakeWorld(400, 11), config).MoveValue();
-    EXPECT_EQ(engine->IsSharded(), num_shards > 1);
+    EXPECT_EQ(engine->sharded()->num_shards(), num_shards);
     const auto s1 = engine->SubmitText(
         "ACQUIRE temp FROM REGION(0, 0, 4, 4) RATE 0.5 PER KM2 PER MIN");
     const auto s2 = engine->SubmitText(
@@ -361,8 +362,8 @@ TEST(EnginePipelineTest, PipelinedMatchesSynchronousByteExact) {
   // The core pipelining guarantee: for the default pipeline_depth, the
   // delivered streams (bytes AND order), the routing aggregates and the
   // order-sensitive incentive/budget trajectory are identical whether the
-  // engine runs single-threaded (with the engine-side feedback lag) or
-  // pipelined over 2 or 4 shards (with the runtime's epoch horizon).
+  // engine runs one inline shard or is pipelined over 2 or 4 worker shards
+  // (the runtime's epoch horizon holds the feedback back on both).
   PipelineRunResult reference;
   RunPipelineWorkload(1, 2, &reference);
   ASSERT_GT(reference.rain_delivered, 0u);
@@ -379,8 +380,8 @@ TEST(EnginePipelineTest, PipelinedMatchesSynchronousByteExact) {
 TEST(EnginePipelineTest, DeeperPipelineStaysConsistentAcrossShardCounts) {
   // pipeline_depth 3 changes the feedback contract (2-step lag) — the
   // trajectory may differ from depth 2, but it must still be byte-exact
-  // across shard counts, since the synchronous engine emulates the same
-  // deeper lag.
+  // across shard counts, since the horizon applies the same deeper lag to
+  // one inline shard.
   PipelineRunResult reference;
   RunPipelineWorkload(1, 3, &reference);
   ASSERT_GT(reference.rain_delivered, 0u);
@@ -459,7 +460,7 @@ TEST(EnginePipelineTest, StatsExposesGlobalValuePoolBytes) {
     const runtime::ShardedStats stats = engine->Stats();
     EXPECT_EQ(stats.value_pool_bytes, ops::ValuePool::Global().ApproxBytes());
     EXPECT_GT(stats.value_pool_bytes, 0u);
-    EXPECT_EQ(stats.per_shard.size(), shards == 1 ? 0u : shards);
+    EXPECT_EQ(stats.per_shard.size(), shards);
   }
 }
 
@@ -478,11 +479,13 @@ struct WalkerRunResult {
 /// and rain queries; the rain hot spot outgrows the crowd, so budgets climb
 /// past the cell populations and requests switch from sampling without
 /// replacement to sampling with replacement.
-WalkerRunResult RunWalkerWorkload(std::size_t pipeline_depth) {
+WalkerRunResult RunWalkerWorkload(std::size_t num_shards,
+                                  std::size_t pipeline_depth) {
   WalkerRunResult out;
   auto walker = sensing::RandomWaypointMobility::Make(0.05, 0.4);
   EXPECT_TRUE(walker.ok());
   EngineConfig config = TestConfig();
+  config.num_shards = num_shards;
   config.pipeline_depth = pipeline_depth;
   config.budget.max = 96.0;
   config.enable_incentives = true;
@@ -517,7 +520,8 @@ TEST(EnginePinTest, WalkerStreamsMatchRecordedDigests) {
   // The other digest tests compare configurations with each other, so a
   // change to which sensors a request reaches, or to the order in which
   // they are sampled, would pass them all. These values were recorded
-  // with the linear-scan sensor lookup.
+  // with the linear-scan sensor lookup; every shard count must reproduce
+  // them.
   struct Pin {
     std::size_t depth;
     std::vector<std::uint64_t> digests;
@@ -534,12 +538,15 @@ TEST(EnginePinTest, WalkerStreamsMatchRecordedDigests) {
        17824,
        17465},
   };
-  for (const Pin& pin : pins) {
-    SCOPED_TRACE("pipeline_depth=" + std::to_string(pin.depth));
-    const WalkerRunResult run = RunWalkerWorkload(pin.depth);
-    EXPECT_EQ(run.digests, pin.digests);
-    EXPECT_EQ(run.requests_sent, pin.requests_sent);
-    EXPECT_EQ(run.responses, pin.responses);
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    for (const Pin& pin : pins) {
+      SCOPED_TRACE("num_shards=" + std::to_string(shards) +
+                   " pipeline_depth=" + std::to_string(pin.depth));
+      const WalkerRunResult run = RunWalkerWorkload(shards, pin.depth);
+      EXPECT_EQ(run.digests, pin.digests);
+      EXPECT_EQ(run.requests_sent, pin.requests_sent);
+      EXPECT_EQ(run.responses, pin.responses);
+    }
   }
 }
 

@@ -81,7 +81,7 @@ TEST(NaiveEngineTest, DuplicatesAcquisitionForOverlappingQueries) {
   const auto naive_requests = naive->world().total_requests_sent();
 
   EXPECT_GT(naive_requests, 2 * shared_requests);
-  EXPECT_GT(naive->TotalOperators(), shared->fabricator().TotalOperators());
+  EXPECT_GT(naive->TotalOperators(), shared->Stats().total_operators);
 }
 
 TEST(NaiveEngineTest, IndependentStacksStillDeliver) {
@@ -100,7 +100,7 @@ TEST(CostModelTest, PricesObservedEvaluations) {
   auto shared = CraqrEngine::Make(MakeWorld(4), TestConfig()).MoveValue();
   ASSERT_TRUE(shared->Submit(TempQuery(geom::Rect(0, 0, 6, 6), 0.5)).ok());
   ASSERT_TRUE(shared->RunFor(15.0).ok());
-  const TopologyCostReport report = EstimateCost(shared->fabricator());
+  const TopologyCostReport report = EstimateCost(*shared->sharded());
   EXPECT_GT(report.total_cost, 0.0);
   EXPECT_GT(report.evaluations, 0u);
   EXPECT_GT(report.operators, 0u);
@@ -148,7 +148,7 @@ TEST(CostModelTest, SharedTopologyCostsLessThanNaive) {
   }
   ASSERT_TRUE(shared->RunFor(15.0).ok());
   ASSERT_TRUE(naive->RunFor(15.0).ok());
-  EXPECT_LT(shared->fabricator().TotalOperatorEvaluations(),
+  EXPECT_LT(shared->TotalOperatorEvaluations(),
             naive->TotalOperatorEvaluations());
 }
 

@@ -119,9 +119,10 @@ TEST(IntegrationTest, QueryChurnUnderLoad) {
   for (const auto id : live) {
     ASSERT_TRUE(craqr_engine->Cancel(id).ok());
   }
-  EXPECT_EQ(craqr_engine->fabricator().NumQueries(), 0u);
-  EXPECT_EQ(craqr_engine->fabricator().NumMaterializedCells(), 0u);
-  EXPECT_EQ(craqr_engine->fabricator().TotalOperators(), 0u);
+  const runtime::ShardedStats stats = craqr_engine->Stats();
+  EXPECT_EQ(stats.live_queries, 0u);
+  EXPECT_EQ(stats.materialized_cells, 0u);
+  EXPECT_EQ(stats.total_operators, 0u);
   EXPECT_EQ(craqr_engine->handler().NumSubscriptions(), 0u);
   EXPECT_TRUE(craqr_engine->RunFor(2.0).ok());
 }

@@ -484,8 +484,8 @@ struct EngineRunResult {
 
 /// The rebalance suite's churn workload (hot-corner rain query, temp query
 /// cancelled and replaced mid-run, incentive loop live throughout), with
-/// periodic checkpoints and — when `crashes` — the "runtime.shard_crash"
-/// fault point armed on an explicit epoch schedule.
+/// periodic checkpoints at every shard count and — when `crashes` — the
+/// "runtime.shard_crash" fault point armed on an explicit epoch schedule.
 void RunCrashChurnEngine(std::size_t num_shards, std::size_t pipeline_depth,
                          bool crashes, EngineRunResult* out) {
   engine::EngineConfig config;
@@ -499,13 +499,13 @@ void RunCrashChurnEngine(std::size_t num_shards, std::size_t pipeline_depth,
   config.incentive.max = 8.0;
   config.num_shards = num_shards;
   config.pipeline_depth = pipeline_depth;
+  config.checkpoint_every_steps = 3;
   if (num_shards > 1) {
     config.rebalance_every_steps = 1;
     config.rebalance.imbalance_trigger = 1.0;
     config.rebalance.min_cell_tuples = 1;
     config.rebalance.cooldown_events = 1;
     config.enable_work_stealing = true;
-    config.checkpoint_every_steps = 3;
   }
   if (crashes) {
     FaultSpec spec;
@@ -551,7 +551,7 @@ TEST(EngineCrashRecoveryTest, KillShardMidChurnStaysByteExact) {
     RunCrashChurnEngine(1, depth, /*crashes=*/false, &reference);
     ASSERT_NE(reference.rain_digest, 0u);
     ASSERT_GT(reference.incentive_raises, 0u) << "incentives never engaged";
-    for (const std::size_t shards : {2u, 4u}) {
+    for (const std::size_t shards : {1u, 2u, 4u}) {
       SCOPED_TRACE("num_shards=" + std::to_string(shards));
       EngineRunResult crashed;
       RunCrashChurnEngine(shards, depth, /*crashes=*/true, &crashed);

@@ -359,8 +359,9 @@ TEST_F(FaultTest, DropOldestPolicyEvictsTheOldestSpooledEpoch) {
 // mode; recovery clears it.
 
 TEST_F(FaultTest, WatchdogDetectsAStalledWorkerAndRecovers) {
+  // Two shards: a one-shard runtime runs inline and has no worker to stall.
   ShardedConfig config;
-  config.num_shards = 1;
+  config.num_shards = 2;
   config.fabric = TestFabricConfig();
   config.admission.watchdog_interval_ms = 5;
   config.admission.watchdog_stall_ticks = 2;
@@ -376,9 +377,10 @@ TEST_F(FaultTest, WatchdogDetectsAStalledWorkerAndRecovers) {
   spec.param = 400;  // ms the worker sleeps on the first batch
   FaultRegistry::Global().Arm("runtime.worker_stall", spec);
 
-  // Three pipelined batches: the worker sleeps on the first while the
-  // other two sit in the queue — a non-empty queue with no completions,
-  // which is exactly the stall signature the watchdog samples for.
+  // Three pipelined batches: the first worker to pick up a sub-batch
+  // sleeps on it while its share of the other two sits in the queue — a
+  // non-empty queue with no completions, which is exactly the stall
+  // signature the watchdog samples for.
   Rng rng(41);
   double t = 0.0;
   std::uint64_t next_id = 1;

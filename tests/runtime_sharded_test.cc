@@ -477,6 +477,78 @@ TEST(ShardedEpochTest, EpochsMustBeMonotone) {
   EXPECT_TRUE(fab->Drain().ok());
 }
 
+TEST(ShardedInlineTest, OneShardRunsOnTheCallersThread) {
+  // A one-shard runtime starts no worker: its shard runs control tasks and
+  // batches on the caller's thread, so an enqueued epoch is complete —
+  // violation reports fired, deliveries in the outbox — on return.
+  const std::thread::id caller = std::this_thread::get_id();
+  fabric::FabricConfig fabric_config = TestFabricConfig();
+  fabric_config.flatten_batch_size = 16;  // frequent F reports
+  Rng rng(13);
+  double t = 0.0;
+  const std::vector<ops::Tuple> tuples = MakeBatch(&rng, &t, 96, 1);
+
+  auto shard = Shard::Make(0, TestGrid(), fabric_config, /*queue_capacity=*/4,
+                           std::string(), 0, nullptr, /*run_inline=*/true)
+                   .MoveValue();
+  std::thread::id control_thread;
+  Status inserted = Status::Internal("control task did not run");
+  ASSERT_TRUE(shard
+                  ->RunControl([&](fabric::StreamFabricator& f) {
+                    control_thread = std::this_thread::get_id();
+                    const geom::Rect region(0, 0, 4, 4);
+                    inserted =
+                        f.InsertQueryPartial(
+                             kRain, region, 6.0,
+                             TestGrid().Overlaps(region).MoveValue(),
+                             [&shard](const ops::TupleBatch& batch) {
+                               shard->DeliverBatch(1, batch);
+                             })
+                            .status();
+                  })
+                  .ok());
+  ASSERT_TRUE(inserted.ok()) << inserted.ToString();
+  EXPECT_EQ(control_thread, caller);
+  std::vector<std::thread::id> report_threads;
+  shard->fabricator().SetViolationCallback(
+      [&](ops::AttributeId, const geom::CellIndex&,
+          const ops::FlattenBatchReport&) {
+        report_threads.push_back(std::this_thread::get_id());
+      });
+  ASSERT_TRUE(shard->EnqueueBatch(tuples, /*epoch=*/1).ok());
+  EXPECT_EQ(shard->batches_processed(), 1u);
+  EXPECT_EQ(shard->queue_depth(), 0u);
+  ASSERT_FALSE(report_threads.empty()) << "no F reports fired";
+  for (const std::thread::id id : report_threads) {
+    EXPECT_EQ(id, caller);
+  }
+  EXPECT_EQ(shard->TakeOutbox(1).delivered.count(1), 1u);
+  EXPECT_TRUE(shard->WaitForEpochCompleted(1).ok());  // nothing to wait on
+
+  // The runtime around it: the shard's load counter has the epoch before
+  // any drain, and replayed reports reach the callback on this thread too.
+  ShardedConfig config;
+  config.num_shards = 1;
+  config.fabric = fabric_config;
+  auto fab = ShardedFabricator::Make(TestGrid(), config).MoveValue();
+  ASSERT_TRUE(fab->InsertQuery(kRain, geom::Rect(0, 0, 4, 4), 6.0).ok());
+  std::vector<std::thread::id> callback_threads;
+  fab->SetViolationCallback([&](ops::AttributeId, const geom::CellIndex&,
+                                const ops::FlattenBatchReport&) {
+    callback_threads.push_back(std::this_thread::get_id());
+  });
+  ops::TupleBatch columns(tuples);
+  ASSERT_TRUE(fab->EnqueueBatch(columns, 1).ok());
+  EXPECT_EQ(obs::GetCounter(fab->metrics_scope() + ".shard0.batches_processed")
+                ->value(),
+            1u);
+  ASSERT_TRUE(fab->DrainThrough(1).ok());
+  ASSERT_FALSE(callback_threads.empty()) << "no F reports replayed";
+  for (const std::thread::id id : callback_threads) {
+    EXPECT_EQ(id, caller);
+  }
+}
+
 TEST(ShardedLoadTest, PerShardLoadCountersAccountForRoutedWork) {
   ShardedConfig config;
   config.num_shards = 4;

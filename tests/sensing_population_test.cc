@@ -235,11 +235,14 @@ TEST(PopulationTest, SensorsInMatchesLinearScan) {
   const geom::Rect regions[] = {kRegion, geom::Rect(-3, 2, 5, 4.5)};
   for (const geom::Rect& region : regions) {
     for (const std::size_t m : {1u, 7u, 200u, 500u, 20000u}) {
-      for (const PlacementKind placement :
-           {PlacementKind::kUniform, PlacementKind::kIntensity}) {
+      for (const auto& [placement, mobile] :
+           {std::pair{PlacementKind::kUniform, true},
+            std::pair{PlacementKind::kIntensity, true},
+            std::pair{PlacementKind::kUniform, false}}) {
         SCOPED_TRACE(region.ToString() + " m=" + std::to_string(m) +
                      (placement == PlacementKind::kUniform ? " uniform"
-                                                           : " hotspot"));
+                                                           : " hotspot") +
+                     (mobile ? "" : " static"));
         PopulationConfig config = BaseConfig(m);
         config.region = region;
         config.placement = placement;
@@ -249,7 +252,7 @@ TEST(PopulationTest, SensorsInMatchesLinearScan) {
           config.placement_intensity =
               pp::GaussianBumpIntensity::Make(0.5, {hotspot}).MoveValue();
           config.mobility_prototype = walk.get();
-        } else {
+        } else if (mobile) {
           config.mobility_prototype = walker.get();
         }
         Rng rng(m * 31 + static_cast<std::size_t>(placement));
@@ -341,13 +344,16 @@ TEST(PopulationTest, AlignedSensorsInMatchesLinearScan) {
     const geom::Grid grid = geom::Grid::Make(region, h).MoveValue();
     const ScriptedMobility scripted(SeamSpots(grid));
     for (const std::size_t m : {500u, 5000u}) {
-      for (const bool aligned : {true, false}) {
+      for (const auto& [aligned, mobile] :
+           {std::pair{true, true}, std::pair{false, true},
+            std::pair{true, false}}) {
         SCOPED_TRACE(region.ToString() + " h=" + std::to_string(h) +
                      " m=" + std::to_string(m) +
-                     (aligned ? " aligned" : " unaligned"));
+                     (aligned ? " aligned" : " unaligned") +
+                     (mobile ? "" : " static"));
         PopulationConfig config = BaseConfig(m);
         config.region = region;
-        config.mobility_prototype = &scripted;
+        config.mobility_prototype = mobile ? &scripted : nullptr;
         Rng rng(m + h);
         auto population = SensorPopulation::Make(config, &rng);
         ASSERT_TRUE(population.ok());
